@@ -57,8 +57,8 @@ func BenchmarkTable2Workloads(b *testing.B) {
 func benchOneSystem(b *testing.B, bench string, sys iqolb.System) {
 	var cycles uint64
 	for i := 0; i < b.N; i++ {
-		res, err := iqolb.Run(iqolb.Experiment{
-			Benchmark: bench, System: sys, Processors: benchProcs, ScaleFactor: benchScale,
+		res, err := iqolb.RunSpec(iqolb.Spec{
+			Bench: bench, System: sys.Name, Procs: benchProcs, Scale: benchScale,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -308,8 +308,8 @@ func BenchmarkObsOverhead(b *testing.B) {
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	var simCycles uint64
 	for i := 0; i < b.N; i++ {
-		res, err := iqolb.Run(iqolb.Experiment{
-			Benchmark: "hotlock", System: iqolb.SystemIQOLB, Processors: benchProcs, ScaleFactor: 2,
+		res, err := iqolb.RunSpec(iqolb.Spec{
+			Bench: "hotlock", System: iqolb.SystemIQOLB.Name, Procs: benchProcs, Scale: 2,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -146,20 +146,8 @@ func main() {
 		}
 	}
 
-	file := loadgen.NewFile(results)
-	if outPath != "" {
-		if err := writeJSONFile(outPath, file.WriteJSON); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "lockload: wrote %d results to %s\n", len(results), outPath)
-	}
-	if *jsonOut {
-		if err := file.WriteJSON(os.Stdout); err != nil {
-			fail(err)
-		}
-		return
-	}
-	fmt.Print(loadgen.Render(results))
+	emit(outPath, *jsonOut, fmt.Sprintf("%d results", len(results)), loadgen.NewFile(results).WriteJSON,
+		func() string { return loadgen.Render(results) })
 }
 
 // runThroughput executes the open-loop pipelined sweep: every client
@@ -201,20 +189,10 @@ func runThroughput(clientList, windowList, flushListFlag string, opsPer, resourc
 		}
 	}
 
+	// NewThroughputFile fills in the speedup column the table shows.
 	file := loadgen.NewThroughputFile(results)
-	if outPath != "" {
-		if err := writeJSONFile(outPath, file.WriteJSON); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "lockload: wrote %d throughput runs to %s\n", len(results), outPath)
-	}
-	if jsonOut {
-		if err := file.WriteJSON(os.Stdout); err != nil {
-			fail(err)
-		}
-		return
-	}
-	fmt.Print(loadgen.RenderThroughput(file.Results))
+	emit(outPath, jsonOut, fmt.Sprintf("%d throughput runs", len(results)), file.WriteJSON,
+		func() string { return loadgen.RenderThroughput(file.Results) })
 }
 
 // runChaos executes the network-fault campaign: (control + each kind)
@@ -244,17 +222,7 @@ func runChaos(kindsFlag, seedsFlag string, window int, outPath string, jsonOut b
 		},
 	})
 
-	if outPath != "" {
-		if err := writeJSONFile(outPath, rep.WriteJSON); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "lockload: wrote %d chaos runs to %s\n", len(rep.Runs), outPath)
-	}
-	if jsonOut {
-		if err := rep.WriteJSON(os.Stdout); err != nil {
-			fail(err)
-		}
-	}
+	emit(outPath, jsonOut, fmt.Sprintf("%d chaos runs", len(rep.Runs)), rep.WriteJSON, nil)
 	if rep.Failures > 0 {
 		fmt.Fprintf(os.Stderr, "lockload: chaos campaign FAILED: %d runs violated invariants\n", rep.Failures)
 		os.Exit(1)
@@ -310,32 +278,36 @@ func runPhased(policyFlag, clientList, lockKind string, shards, queue, scale int
 		runs = append(runs, r)
 	}
 
-	file := loadgen.NewPhasedFile(runs)
-	if outPath != "" {
-		if err := writeJSONFile(outPath, file.WriteJSON); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "lockload: wrote %d phased runs to %s\n", len(runs), outPath)
-	}
-	if jsonOut {
-		if err := file.WriteJSON(os.Stdout); err != nil {
-			fail(err)
-		}
-		return
-	}
-	fmt.Print(loadgen.RenderPhased(runs))
+	emit(outPath, jsonOut, fmt.Sprintf("%d phased runs", len(runs)), loadgen.NewPhasedFile(runs).WriteJSON,
+		func() string { return loadgen.RenderPhased(runs) })
 }
 
-func writeJSONFile(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+// emit is every mode's tail: write the artifact to outPath (empty =
+// disabled), then print the same JSON (-json) or the mode's table (the
+// chaos campaign has none) on stdout.
+func emit(outPath string, jsonOut bool, what string, write func(io.Writer) error, table func() string) {
+	if outPath != "" {
+		f, err := os.Create(outPath)
+		if err != nil {
+			fail(err)
+		}
+		err = write(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			fail(err)
+		}
+		fmt.Fprintf(os.Stderr, "lockload: wrote %s to %s\n", what, outPath)
 	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
+	switch {
+	case jsonOut:
+		if err := write(os.Stdout); err != nil {
+			fail(err)
+		}
+	case table != nil:
+		fmt.Print(table())
 	}
-	return f.Close()
 }
 
 func usage(err error) {

@@ -30,7 +30,7 @@
 // draining verdict, give live leases -drain-grace to release (then
 // revoke stragglers), drain connection goroutines, and print a final
 // counter snapshot to stderr. -idle-timeout reaps half-open peers;
-// -retry-after attaches the anti-herd delay hint to wire-v2 refusals.
+// -retry-after attaches the anti-herd delay hint to shed-class refusals.
 //
 // Exit codes follow the repo convention (see README): 0 clean shutdown,
 // 1 runtime failure, 2 unusable configuration.
@@ -66,7 +66,7 @@ func main() {
 		ctrlEvery  = flag.Duration("adaptive-interval", 25*time.Millisecond, "controller sampling period (with -adaptive)")
 		drainGrace = flag.Duration("drain-grace", 2*time.Second, "graceful-drain window on SIGINT/SIGTERM: live leases get this long to release before revocation (0 = immediate close)")
 		idleConn   = flag.Duration("idle-timeout", 2*time.Minute, "reap connections idle this long (half-open peers included; 0 = never)")
-		retryAfter = flag.Duration("retry-after", 2*time.Millisecond, "retry-after hint attached to wire-v2 shed-class refusals (0 = no hint)")
+		retryAfter = flag.Duration("retry-after", 2*time.Millisecond, "retry-after hint attached to shed-class refusals (0 = no hint)")
 		flushDelay = flag.Duration("flush-delay", 0, "hold each connection's response socket up to this long to coalesce frames into one write syscall (0 = write through)")
 		window     = flag.Int("window", service.DefaultWindow, "max concurrently-executing pipelined (wire v3) requests per connection")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty = off)")

@@ -13,18 +13,18 @@ import (
 func main() {
 	const procs = 16
 
-	tts, err := iqolb.Run(iqolb.Experiment{
-		Benchmark:  "hotlock",
-		System:     iqolb.SystemTTS,
-		Processors: procs,
+	tts, err := iqolb.RunSpec(iqolb.Spec{
+		Bench:  "hotlock",
+		System: iqolb.SystemTTS.Name,
+		Procs:  procs,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	iq, err := iqolb.Run(iqolb.Experiment{
-		Benchmark:  "hotlock",
-		System:     iqolb.SystemIQOLB,
-		Processors: procs,
+	iq, err := iqolb.RunSpec(iqolb.Spec{
+		Bench:  "hotlock",
+		System: iqolb.SystemIQOLB.Name,
+		Procs:  procs,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -26,10 +26,10 @@ func main() {
 	for _, procs := range procCounts {
 		fmt.Printf("  %-6d", procs)
 		for _, sys := range systems {
-			r, err := iqolb.Run(iqolb.Experiment{
-				Benchmark:  "raytrace",
-				System:     sys,
-				Processors: procs,
+			r, err := iqolb.RunSpec(iqolb.Spec{
+				Bench:  "raytrace",
+				System: sys.Name,
+				Procs:  procs,
 			})
 			if err != nil {
 				log.Fatal(err)

@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -13,6 +12,7 @@ import (
 	"time"
 
 	"iqolb/internal/linearize"
+	"iqolb/internal/report"
 	"iqolb/internal/service"
 )
 
@@ -145,11 +145,7 @@ type Report struct {
 }
 
 // WriteJSON writes the indented artifact.
-func (r *Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
+func (r *Report) WriteJSON(w io.Writer) error { return report.WriteJSON(w, r) }
 
 // RunCampaign executes the full kind × seed grid, sequentially (runs
 // share the host's ports and scheduler; sequencing keeps them honest).

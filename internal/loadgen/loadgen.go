@@ -89,6 +89,116 @@ type clientShard struct {
 	lastErr   error
 }
 
+// criticalSection runs one closed-loop acquire → csWork → release on cl
+// and tallies the outcome.
+func (sh *clientShard) criticalSection(cl *service.Client, res, owner string, opt service.AcquireOptions, csWork int64) {
+	t0 := time.Now()
+	lease, err := cl.Acquire(res, owner, opt)
+	if err != nil {
+		switch {
+		case isShed(err):
+			sh.sheds++
+		case isTimeout(err):
+			sh.timeouts++
+		default:
+			sh.errs++
+			sh.lastErr = err
+		}
+		return
+	}
+	sh.grantWait.Add(uint64(time.Since(t0)))
+	sh.grants++
+	work(csWork)
+	if err := cl.Release(res, lease.Token); err != nil {
+		sh.errs++
+		sh.lastErr = fmt.Errorf("release: %w", err)
+	}
+}
+
+// merge folds o into sh, keeping the first error.
+func (sh *clientShard) merge(o *clientShard) {
+	sh.grantWait.Merge(&o.grantWait)
+	sh.grants += o.grants
+	sh.sheds += o.sheds
+	sh.timeouts += o.timeouts
+	sh.errs += o.errs
+	if sh.lastErr == nil {
+		sh.lastErr = o.lastErr
+	}
+}
+
+// rig is the serving stack one run measures: the connected clients and,
+// unless the run targets an external address, the in-process service
+// and TCP server behind them.
+type rig struct {
+	svc     *service.Service // nil when the server is external
+	srv     *service.Server
+	clients []*service.Client
+}
+
+// boot serves sc on a loopback ephemeral port (still real TCP) — or,
+// when addr is set, targets that external server instead — and connects
+// n clients. On error it unwinds whatever it had started.
+func boot(addr string, sc service.Config, so service.ServerOptions, n int) (*rig, error) {
+	r := &rig{}
+	if addr == "" {
+		svc, err := service.New(sc)
+		if err != nil {
+			return nil, err
+		}
+		r.svc = svc
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			r.close()
+			return nil, err
+		}
+		addr = ln.Addr().String()
+		r.srv = service.NewServerWithOptions(svc, so)
+		go r.srv.Serve(ln)
+	}
+	for i := 0; i < n; i++ {
+		c, err := service.Dial(addr)
+		if err != nil {
+			r.close()
+			return nil, fmt.Errorf("loadgen: dial client %d: %w", i, err)
+		}
+		r.clients = append(r.clients, c)
+	}
+	return r, nil
+}
+
+// close hangs up the clients, then stops the server and the service.
+func (r *rig) close() {
+	for _, c := range r.clients {
+		c.Close()
+	}
+	if r.srv != nil {
+		r.srv.Close()
+	}
+	if r.svc != nil {
+		r.svc.Close()
+	}
+}
+
+// baseConfig is the in-process service shape every mode starts from.
+// The zero shard count and queue depth are resolved here (8 and 64, the
+// service's own defaults) because the phased artifact records them.
+func baseConfig(shards, queue int, lock locks.Kind) service.Config {
+	if shards == 0 {
+		shards = 8
+	}
+	if queue == 0 {
+		queue = 64
+	}
+	return service.Config{
+		Shards:     shards,
+		Lock:       lock,
+		QueueDepth: queue,
+		DefaultTTL: 30 * time.Second,
+		MaxTTL:     time.Minute,
+	}
+}
+
 // Run executes one load run and returns its result. With no Addr it
 // boots an in-process service + TCP server for the duration of the run
 // and folds the server's counter snapshot into the result.
@@ -97,65 +207,18 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	maxWait := cfg.MaxWait
-	if maxWait == 0 {
-		maxWait = 10 * time.Second
+	opt := service.AcquireOptions{TTL: cfg.TTL, Wait: true, MaxWait: cfg.MaxWait}
+	if opt.MaxWait == 0 {
+		opt.MaxWait = 10 * time.Second
 	}
-
-	addr := cfg.Addr
-	var svc *service.Service
-	var srv *service.Server
-	if addr == "" {
-		shards := cfg.Shards
-		if shards == 0 {
-			shards = 8
-		}
-		queue := cfg.QueueDepth
-		if queue == 0 {
-			queue = 64
-		}
-		svc, err = service.New(service.Config{
-			Shards:     shards,
-			Lock:       cfg.Lock,
-			Policy:     cfg.Policy,
-			QueueDepth: queue,
-			DefaultTTL: 30 * time.Second,
-			MaxTTL:     time.Minute,
-		})
-		if err != nil {
-			return Result{}, err
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			svc.Close()
-			return Result{}, err
-		}
-		addr = ln.Addr().String()
-		srv = service.NewServer(svc)
-		go srv.Serve(ln)
-		defer func() {
-			srv.Close()
-			svc.Close()
-		}()
-	}
-
+	sc := baseConfig(cfg.Shards, cfg.QueueDepth, cfg.Lock)
+	sc.Policy = cfg.Policy
 	// Connect every client before starting the clock.
-	clients := make([]*service.Client, cfg.Clients)
-	for i := range clients {
-		c, err := service.Dial(addr)
-		if err != nil {
-			for _, c := range clients[:i] {
-				c.Close()
-			}
-			return Result{}, fmt.Errorf("loadgen: dial client %d: %w", i, err)
-		}
-		clients[i] = c
+	r, err := boot(cfg.Addr, sc, service.ServerOptions{}, cfg.Clients)
+	if err != nil {
+		return Result{}, err
 	}
-	defer func() {
-		for _, c := range clients {
-			c.Close()
-		}
-	}()
+	defer r.close()
 
 	shards := make([]clientShard, cfg.Clients)
 	csPerClient := p.TotalCS / cfg.Clients
@@ -165,8 +228,6 @@ func Run(cfg Config) (Result, error) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			sh := &shards[g]
-			cl := clients[g]
 			owner := fmt.Sprintf("client-%d", g)
 			// Same PRNG family and per-actor splitting as lockbench.
 			str := faults.NewStream(cfg.Seed + uint64(g)*0x9e3779b97f4a7c15 + 1)
@@ -178,31 +239,7 @@ func Run(cfg Config) (Result, error) {
 					}
 					work(think)
 					res := fmt.Sprintf("res-%d", p.PickLock(str.Intn))
-					t0 := time.Now()
-					lease, err := cl.Acquire(res, owner, service.AcquireOptions{
-						TTL:     cfg.TTL,
-						Wait:    true,
-						MaxWait: maxWait,
-					})
-					if err != nil {
-						switch {
-						case isShed(err):
-							sh.sheds++
-						case isTimeout(err):
-							sh.timeouts++
-						default:
-							sh.errs++
-							sh.lastErr = err
-						}
-						continue
-					}
-					sh.grantWait.Add(uint64(time.Since(t0)))
-					sh.grants++
-					work(p.CSWork)
-					if err := cl.Release(res, lease.Token); err != nil {
-						sh.errs++
-						sh.lastErr = fmt.Errorf("release: %w", err)
-					}
+					shards[g].criticalSection(r.clients[g], res, owner, opt, p.CSWork)
 				}
 			}
 		}(g)
@@ -210,43 +247,41 @@ func Run(cfg Config) (Result, error) {
 	wg.Wait()
 	wall := time.Since(start)
 
-	res := Result{
-		SchemaVersion: ResultSchemaVersion,
-		Bench:         cfg.Bench,
-		Lock:          string(cfg.Lock),
-		Policy:        string(cfg.Policy),
-		Clients:       cfg.Clients,
-		Shards:        cfg.Shards,
-		QueueDepth:    cfg.QueueDepth,
-		Seed:          cfg.Seed,
-		WallNS:        wall.Nanoseconds(),
-		PerClientOps:  make([]uint64, cfg.Clients),
-	}
-	var firstErr error
+	var total clientShard
+	perClient := make([]uint64, cfg.Clients)
 	for g := range shards {
-		sh := &shards[g]
-		res.GrantWait.Merge(&sh.grantWait)
-		res.Grants += sh.grants
-		res.Sheds += sh.sheds
-		res.Timeouts += sh.timeouts
-		res.Errors += sh.errs
-		res.PerClientOps[g] = sh.grants
-		if firstErr == nil && sh.lastErr != nil {
-			firstErr = sh.lastErr
-		}
+		total.merge(&shards[g])
+		perClient[g] = shards[g].grants
 	}
-	if firstErr != nil {
-		return Result{}, fmt.Errorf("loadgen: client error (%d total): %w", res.Errors, firstErr)
+	if total.lastErr != nil {
+		return Result{}, fmt.Errorf("loadgen: client error (%d total): %w", total.errs, total.lastErr)
 	}
-	res.Throughput = float64(res.Grants) / wall.Seconds()
-	res.GrantP50 = res.GrantWait.Percentile(50)
-	res.GrantP99 = res.GrantWait.Percentile(99)
-	res.GrantP999 = res.GrantWait.Percentile(99.9)
-	res.Fairness = stats.Jain(res.PerClientOps)
-	if svc != nil {
-		snap := svc.Snapshot()
+	res := Result{
+		Stamp:        Stamp{SchemaVersion},
+		Bench:        cfg.Bench,
+		Lock:         string(cfg.Lock),
+		Policy:       string(cfg.Policy),
+		Clients:      cfg.Clients,
+		Shards:       cfg.Shards,
+		QueueDepth:   cfg.QueueDepth,
+		Seed:         cfg.Seed,
+		Grants:       total.grants,
+		Sheds:        total.sheds,
+		Timeouts:     total.timeouts,
+		Errors:       total.errs,
+		WallNS:       wall.Nanoseconds(),
+		Throughput:   float64(total.grants) / wall.Seconds(),
+		Fairness:     stats.Jain(perClient),
+		PerClientOps: perClient,
+		GrantWait:    total.grantWait,
+		GrantP50:     total.grantWait.Percentile(50),
+		GrantP99:     total.grantWait.Percentile(99),
+		GrantP999:    total.grantWait.Percentile(99.9),
+	}
+	if r.svc != nil {
+		snap := r.svc.Snapshot()
 		res.Server = &ServerTotals{
-			Policy:           string(svc.Policy()),
+			Policy:           string(r.svc.Policy()),
 			Counters:         snap.Totals,
 			DegradedShards:   snap.Degraded,
 			ServerGrantP99NS: snap.GrantWaitNS.Percentile(99),

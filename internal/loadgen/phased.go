@@ -1,12 +1,8 @@
 package loadgen
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"net"
-	"os"
-	"runtime"
 	"sync"
 	"time"
 
@@ -24,15 +20,6 @@ import (
 // pays in the other; the controller must match the best static policy
 // in *each* phase by migrating between them mid-run. BENCH_adaptive.json
 // is the committed comparison.
-
-// Schema versions for the phased artifact, separate from the flat
-// Result/File schema so the two artifact families version independently.
-const (
-	// PhasedSchemaVersion identifies one phased run's layout.
-	PhasedSchemaVersion = 1
-	// PhasedFileSchemaVersion identifies the BENCH_adaptive.json container.
-	PhasedFileSchemaVersion = 1
-)
 
 // Mode names the serving discipline of a phased run.
 const (
@@ -130,81 +117,39 @@ type PhaseResult struct {
 
 // PhasedResult is one mode's full run across the phase schedule.
 type PhasedResult struct {
-	SchemaVersion int           `json:"schema_version"`
-	Mode          string        `json:"mode"`
-	Clients       int           `json:"clients"`
-	Shards        int           `json:"shards"`
-	QueueDepth    int           `json:"queue_depth"`
-	Lock          string        `json:"lock,omitempty"`
-	Seed          uint64        `json:"seed,omitempty"`
-	Phases        []PhaseResult `json:"phases"`
+	Stamp
+	Mode       string        `json:"mode"`
+	Clients    int           `json:"clients"`
+	Shards     int           `json:"shards"`
+	QueueDepth int           `json:"queue_depth"`
+	Lock       string        `json:"lock,omitempty"`
+	Seed       uint64        `json:"seed,omitempty"`
+	Phases     []PhaseResult `json:"phases"`
 	// Controller is the controller's final state (ModeAdaptive only).
 	Controller *adaptive.State `json:"controller,omitempty"`
 }
 
 // PhasedFile is the on-disk artifact (BENCH_adaptive.json).
 type PhasedFile struct {
-	SchemaVersion int            `json:"schema_version"`
-	GoVersion     string         `json:"go_version"`
-	NumCPU        int            `json:"num_cpu"`
-	Runs          []PhasedResult `json:"runs"`
+	Header
+	Runs []PhasedResult `json:"runs"`
 }
 
 // NewPhasedFile wraps phased runs in a schema-versioned container.
-func NewPhasedFile(runs []PhasedResult) *PhasedFile {
-	return &PhasedFile{
-		SchemaVersion: PhasedFileSchemaVersion,
-		GoVersion:     runtime.Version(),
-		NumCPU:        runtime.NumCPU(),
-		Runs:          runs,
-	}
-}
+func NewPhasedFile(runs []PhasedResult) *PhasedFile { return &PhasedFile{newHeader(), runs} }
 
 // WriteJSON writes the container as indented JSON.
-func (f *PhasedFile) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(f)
-}
+func (f *PhasedFile) WriteJSON(w io.Writer) error { return report.WriteJSON(w, f) }
 
 // LoadPhasedFile reads and strictly version-checks a phased artifact.
 func LoadPhasedFile(path string) (*PhasedFile, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
 	var f PhasedFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("loadgen: %s: %w", path, err)
-	}
-	if f.SchemaVersion != PhasedFileSchemaVersion {
-		return nil, fmt.Errorf("loadgen: %s: schema version %d, want %d", path, f.SchemaVersion, PhasedFileSchemaVersion)
-	}
-	for i := range f.Runs {
-		if v := f.Runs[i].SchemaVersion; v != PhasedSchemaVersion {
-			return nil, fmt.Errorf("loadgen: %s: run %d has schema version %d, want %d", path, i, v, PhasedSchemaVersion)
-		}
-	}
-	return &f, nil
+	return load(path, &f, &f.Header, &f.Runs)
 }
 
 // serviceConfig maps a phased mode onto a service.Config.
 func (c PhasedConfig) serviceConfig() (service.Config, error) {
-	shards := c.Shards
-	if shards == 0 {
-		shards = 8
-	}
-	queue := c.QueueDepth
-	if queue == 0 {
-		queue = 64
-	}
-	sc := service.Config{
-		Shards:     shards,
-		Lock:       c.Lock,
-		QueueDepth: queue,
-		DefaultTTL: 30 * time.Second,
-		MaxTTL:     time.Minute,
-	}
+	sc := baseConfig(c.Shards, c.QueueDepth, c.Lock)
 	switch c.Mode {
 	case ModeHandoff:
 		sc.Policy = service.PolicyHandoff
@@ -237,55 +182,29 @@ func RunPhases(cfg PhasedConfig) (PhasedResult, error) {
 			return PhasedResult{}, fmt.Errorf("loadgen: phase %d (%q): resources and ops_per_client must be >= 1", i, ph.Name)
 		}
 	}
-	maxWait := cfg.MaxWait
-	if maxWait == 0 {
-		maxWait = 10 * time.Second
+	opt := service.AcquireOptions{TTL: cfg.TTL, Wait: true, MaxWait: cfg.MaxWait}
+	if opt.MaxWait == 0 {
+		opt.MaxWait = 10 * time.Second
 	}
 	sc, err := cfg.serviceConfig()
 	if err != nil {
 		return PhasedResult{}, err
 	}
-	svc, err := service.New(sc)
+	r, err := boot("", sc, service.ServerOptions{}, cfg.Clients)
 	if err != nil {
 		return PhasedResult{}, err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		svc.Close()
-		return PhasedResult{}, err
-	}
-	srv := service.NewServer(svc)
-	go srv.Serve(ln)
-	defer func() {
-		srv.Close()
-		svc.Close()
-	}()
-
-	clients := make([]*service.Client, cfg.Clients)
-	for i := range clients {
-		c, err := service.Dial(ln.Addr().String())
-		if err != nil {
-			for _, c := range clients[:i] {
-				c.Close()
-			}
-			return PhasedResult{}, fmt.Errorf("loadgen: dial client %d: %w", i, err)
-		}
-		clients[i] = c
-	}
-	defer func() {
-		for _, c := range clients {
-			c.Close()
-		}
-	}()
+	defer r.close()
+	svc, clients := r.svc, r.clients
 
 	out := PhasedResult{
-		SchemaVersion: PhasedSchemaVersion,
-		Mode:          cfg.Mode,
-		Clients:       cfg.Clients,
-		Shards:        sc.Shards,
-		QueueDepth:    sc.QueueDepth,
-		Lock:          string(sc.Lock),
-		Seed:          cfg.Seed,
+		Stamp:      Stamp{SchemaVersion},
+		Mode:       cfg.Mode,
+		Clients:    cfg.Clients,
+		Shards:     sc.Shards,
+		QueueDepth: sc.QueueDepth,
+		Lock:       string(sc.Lock),
+		Seed:       cfg.Seed,
 	}
 
 	// Discarded warmup against the first phase's distribution: the
@@ -300,7 +219,7 @@ func RunPhases(cfg PhasedConfig) (PhasedResult, error) {
 		wg.Add(len(clients))
 		scratch := make([]clientShard, len(clients))
 		for g := range clients {
-			go runPhaseClient(&wg, clients[g], &scratch[g], cfg, len(cfg.Phases), warm, g, maxWait)
+			go runPhaseClient(&wg, clients[g], &scratch[g], cfg.Seed, len(cfg.Phases), warm, g, opt)
 		}
 		wg.Wait()
 		for g := range scratch {
@@ -317,31 +236,31 @@ func RunPhases(cfg PhasedConfig) (PhasedResult, error) {
 		t0 := time.Now()
 		for g := 0; g < cfg.Clients; g++ {
 			wg.Add(1)
-			go runPhaseClient(&wg, clients[g], &shards[g], cfg, pi, ph, g, maxWait)
+			go runPhaseClient(&wg, clients[g], &shards[g], cfg.Seed, pi, ph, g, opt)
 		}
 		wg.Wait() // the barrier: nobody enters phase pi+1 early
 		wall := time.Since(t0)
 
-		pr := PhaseResult{Phase: ph, WallNS: wall.Nanoseconds()}
-		var firstErr error
+		var total clientShard
 		for g := range shards {
-			sh := &shards[g]
-			pr.GrantWait.Merge(&sh.grantWait)
-			pr.Grants += sh.grants
-			pr.Sheds += sh.sheds
-			pr.Timeouts += sh.timeouts
-			pr.Errors += sh.errs
-			if firstErr == nil && sh.lastErr != nil {
-				firstErr = sh.lastErr
-			}
+			total.merge(&shards[g])
 		}
-		if firstErr != nil {
-			return PhasedResult{}, fmt.Errorf("loadgen: phase %q client error (%d total): %w", ph.Name, pr.Errors, firstErr)
+		if total.lastErr != nil {
+			return PhasedResult{}, fmt.Errorf("loadgen: phase %q client error (%d total): %w", ph.Name, total.errs, total.lastErr)
 		}
-		pr.Throughput = float64(pr.Grants) / wall.Seconds()
-		pr.GrantP50 = pr.GrantWait.Percentile(50)
-		pr.GrantP99 = pr.GrantWait.Percentile(99)
-		pr.GrantP999 = pr.GrantWait.Percentile(99.9)
+		pr := PhaseResult{
+			Phase:      ph,
+			Grants:     total.grants,
+			Sheds:      total.sheds,
+			Timeouts:   total.timeouts,
+			Errors:     total.errs,
+			WallNS:     wall.Nanoseconds(),
+			Throughput: float64(total.grants) / wall.Seconds(),
+			GrantP50:   total.grantWait.Percentile(50),
+			GrantP99:   total.grantWait.Percentile(99),
+			GrantP999:  total.grantWait.Percentile(99.9),
+			GrantWait:  total.grantWait,
+		}
 		snap := svc.Snapshot()
 		pr.Migrations = snap.Totals.Migrations - prev.Totals.Migrations
 		pr.Degrades = snap.Totals.Degrades - prev.Totals.Degrades
@@ -360,12 +279,12 @@ func RunPhases(cfg PhasedConfig) (PhasedResult, error) {
 }
 
 // runPhaseClient is one client's closed loop for one phase.
-func runPhaseClient(wg *sync.WaitGroup, cl *service.Client, sh *clientShard, cfg PhasedConfig, pi int, ph Phase, g int, maxWait time.Duration) {
+func runPhaseClient(wg *sync.WaitGroup, cl *service.Client, sh *clientShard, seed uint64, pi int, ph Phase, g int, opt service.AcquireOptions) {
 	defer wg.Done()
 	owner := fmt.Sprintf("client-%d", g)
 	// Same PRNG family and per-actor splitting as the flat runner, with
 	// the phase index folded in so phases draw independent sequences.
-	str := faults.NewStream(cfg.Seed + (uint64(pi)*256+uint64(g))*0x9e3779b97f4a7c15 + 1)
+	str := faults.NewStream(seed + (uint64(pi)*256+uint64(g))*0x9e3779b97f4a7c15 + 1)
 	for op := 0; op < ph.OpsPerClient; op++ {
 		if ph.Think > 0 {
 			// Uniform jitter in [Think/2, 3·Think/2): without it the
@@ -374,31 +293,7 @@ func runPhaseClient(wg *sync.WaitGroup, cl *service.Client, sh *clientShard, cfg
 			// thundering herd.
 			time.Sleep(time.Duration(ph.Think/2 + str.Intn(ph.Think)))
 		}
-		res := fmt.Sprintf("res-%d", str.Intn(int64(ph.Resources)))
-		t0 := time.Now()
-		lease, err := cl.Acquire(res, owner, service.AcquireOptions{
-			TTL:     cfg.TTL,
-			Wait:    true,
-			MaxWait: maxWait,
-		})
-		if err != nil {
-			switch {
-			case isShed(err):
-				sh.sheds++
-			case isTimeout(err):
-				sh.timeouts++
-			default:
-				sh.errs++
-				sh.lastErr = err
-			}
-			continue
-		}
-		sh.grantWait.Add(uint64(time.Since(t0)))
-		sh.grants++
-		if err := cl.Release(res, lease.Token); err != nil {
-			sh.errs++
-			sh.lastErr = fmt.Errorf("release: %w", err)
-		}
+		sh.criticalSection(cl, fmt.Sprintf("res-%d", str.Intn(int64(ph.Resources))), owner, opt, 0)
 	}
 }
 

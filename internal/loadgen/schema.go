@@ -12,14 +12,50 @@ import (
 	"iqolb/internal/stats"
 )
 
-// Schema versions, following the harness artifact conventions: bump on
-// any field addition, removal, or change of meaning.
-const (
-	// ResultSchemaVersion identifies one load run's layout.
-	ResultSchemaVersion = 1
-	// FileSchemaVersion identifies the BENCH_service.json container.
-	FileSchemaVersion = 1
-)
+// SchemaVersion stamps every loadgen artifact, container and row alike,
+// following the harness artifact conventions: bump on any field
+// addition, removal, or change of meaning.
+const SchemaVersion = 1
+
+// Header opens every loadgen artifact (BENCH_service.json,
+// BENCH_throughput.json, BENCH_adaptive.json).
+type Header struct {
+	SchemaVersion int    `json:"schema_version"`
+	GoVersion     string `json:"go_version"`
+	NumCPU        int    `json:"num_cpu"`
+}
+
+func newHeader() Header {
+	return Header{SchemaVersion: SchemaVersion, GoVersion: runtime.Version(), NumCPU: runtime.NumCPU()}
+}
+
+// Stamp opens every row of an artifact.
+type Stamp struct {
+	SchemaVersion int `json:"schema_version"`
+}
+
+func (s Stamp) stamp() int { return s.SchemaVersion }
+
+// load reads the artifact at path into f and version-checks its header
+// and each of its rows strictly.
+func load[F any, R interface{ stamp() int }](path string, f *F, hdr *Header, rows *[]R) (*F, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := json.Unmarshal(data, f); err != nil {
+		return nil, fmt.Errorf("loadgen: %s: %w", path, err)
+	}
+	if hdr.SchemaVersion != SchemaVersion {
+		return nil, fmt.Errorf("loadgen: %s: schema version %d, want %d", path, hdr.SchemaVersion, SchemaVersion)
+	}
+	for i, r := range *rows {
+		if v := r.stamp(); v != SchemaVersion {
+			return nil, fmt.Errorf("loadgen: %s: result %d has schema version %d, want %d", path, i, v, SchemaVersion)
+		}
+	}
+	return f, nil
+}
 
 // ServerTotals folds the in-process server's counter snapshot into a
 // result (absent when the run targeted an external -addr).
@@ -36,19 +72,19 @@ type ServerTotals struct {
 // Result is one load run's measurements. Grant latency is
 // client-observed: acquire issue → lease granted, over real TCP.
 type Result struct {
-	SchemaVersion int    `json:"schema_version"`
-	Bench         string `json:"bench"`
-	Lock          string `json:"lock,omitempty"`
-	Policy        string `json:"policy,omitempty"`
-	Clients       int    `json:"clients"`
-	Shards        int    `json:"shards,omitempty"`
-	QueueDepth    int    `json:"queue_depth,omitempty"`
-	Seed          uint64 `json:"seed,omitempty"`
-	Grants        uint64 `json:"grants"`
-	Sheds         uint64 `json:"sheds"`
-	Timeouts      uint64 `json:"timeouts"`
-	Errors        uint64 `json:"errors"`
-	WallNS        int64  `json:"wall_ns"`
+	Stamp
+	Bench      string `json:"bench"`
+	Lock       string `json:"lock,omitempty"`
+	Policy     string `json:"policy,omitempty"`
+	Clients    int    `json:"clients"`
+	Shards     int    `json:"shards,omitempty"`
+	QueueDepth int    `json:"queue_depth,omitempty"`
+	Seed       uint64 `json:"seed,omitempty"`
+	Grants     uint64 `json:"grants"`
+	Sheds      uint64 `json:"sheds"`
+	Timeouts   uint64 `json:"timeouts"`
+	Errors     uint64 `json:"errors"`
+	WallNS     int64  `json:"wall_ns"`
 	// Throughput is granted leases per second of wall time.
 	Throughput float64 `json:"throughput_grants_per_sec"`
 	// Fairness is Jain's index over per-client grant counts.
@@ -64,48 +100,20 @@ type Result struct {
 
 // File is the on-disk artifact (BENCH_service.json).
 type File struct {
-	SchemaVersion int      `json:"schema_version"`
-	GoVersion     string   `json:"go_version"`
-	NumCPU        int      `json:"num_cpu"`
-	Results       []Result `json:"results"`
+	Header
+	Results []Result `json:"results"`
 }
 
 // NewFile wraps results in a schema-versioned container.
-func NewFile(results []Result) *File {
-	return &File{
-		SchemaVersion: FileSchemaVersion,
-		GoVersion:     runtime.Version(),
-		NumCPU:        runtime.NumCPU(),
-		Results:       results,
-	}
-}
+func NewFile(results []Result) *File { return &File{newHeader(), results} }
 
 // WriteJSON writes the container as indented JSON.
-func (f *File) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(f)
-}
+func (f *File) WriteJSON(w io.Writer) error { return report.WriteJSON(w, f) }
 
 // LoadFile reads and version-checks a results file.
 func LoadFile(path string) (*File, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
 	var f File
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("loadgen: %s: %w", path, err)
-	}
-	if f.SchemaVersion != FileSchemaVersion {
-		return nil, fmt.Errorf("loadgen: %s: schema version %d, want %d", path, f.SchemaVersion, FileSchemaVersion)
-	}
-	for i := range f.Results {
-		if v := f.Results[i].SchemaVersion; v != ResultSchemaVersion {
-			return nil, fmt.Errorf("loadgen: %s: result %d has schema version %d, want %d", path, i, v, ResultSchemaVersion)
-		}
-	}
-	return &f, nil
+	return load(path, &f, &f.Header, &f.Results)
 }
 
 // Render formats results as the CLI's human-readable table.

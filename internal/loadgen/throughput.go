@@ -11,7 +11,6 @@ package loadgen
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
@@ -82,61 +81,21 @@ func (c ThroughputConfig) withDefaults() ThroughputConfig {
 func RunThroughput(cfg ThroughputConfig) (ThroughputResult, error) {
 	cfg = cfg.withDefaults()
 
-	addr := cfg.Addr
-	if addr == "" {
-		svc, err := service.New(service.Config{
-			Shards:     cfg.Shards,
-			Lock:       cfg.Lock,
-			QueueDepth: cfg.QueueDepth,
-			DefaultTTL: 30 * time.Second,
-			MaxTTL:     time.Minute,
-		})
-		if err != nil {
-			return ThroughputResult{}, err
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			svc.Close()
-			return ThroughputResult{}, err
-		}
-		addr = ln.Addr().String()
-		srv := service.NewServerWithOptions(svc, service.ServerOptions{
-			FlushDelay: cfg.FlushDelay,
-			Window:     cfg.Window,
-		})
-		go srv.Serve(ln)
-		defer func() {
-			srv.Close()
-			svc.Close()
-		}()
+	r, err := boot(cfg.Addr, baseConfig(cfg.Shards, cfg.QueueDepth, cfg.Lock),
+		service.ServerOptions{FlushDelay: cfg.FlushDelay, Window: cfg.Window}, cfg.Clients)
+	if err != nil {
+		return ThroughputResult{}, err
 	}
-
-	clients := make([]*service.Client, cfg.Clients)
-	for i := range clients {
-		c, err := service.Dial(addr)
-		if err != nil {
-			for _, c := range clients[:i] {
-				c.Close()
-			}
-			return ThroughputResult{}, fmt.Errorf("loadgen: dial client %d: %w", i, err)
-		}
+	defer r.close()
+	clients := r.clients
+	for _, c := range clients {
 		c.SetOpTimeout(30 * time.Second)
 		if cfg.Window > 1 {
 			if err := c.Pipeline(cfg.Window, cfg.FlushDelay); err != nil {
-				c.Close()
-				for _, c := range clients[:i] {
-					c.Close()
-				}
 				return ThroughputResult{}, err
 			}
 		}
-		clients[i] = c
 	}
-	defer func() {
-		for _, c := range clients {
-			c.Close()
-		}
-	}()
 
 	// Workers per connection = the window: the open loop keeps the
 	// window full. Each worker gets its own seeded stream and its share
@@ -199,14 +158,14 @@ func RunThroughput(cfg ThroughputConfig) (ThroughputResult, error) {
 	wall := time.Since(start)
 
 	res := ThroughputResult{
-		SchemaVersion: ThroughputResultSchemaVersion,
-		Clients:       cfg.Clients,
-		Window:        cfg.Window,
-		FlushDelayNS:  cfg.FlushDelay.Nanoseconds(),
-		OpsPerClient:  cfg.OpsPerClient,
-		Resources:     cfg.Resources,
-		Seed:          cfg.Seed,
-		WallNS:        wall.Nanoseconds(),
+		Stamp:        Stamp{SchemaVersion},
+		Clients:      cfg.Clients,
+		Window:       cfg.Window,
+		FlushDelayNS: cfg.FlushDelay.Nanoseconds(),
+		OpsPerClient: cfg.OpsPerClient,
+		Resources:    cfg.Resources,
+		Seed:         cfg.Seed,
+		WallNS:       wall.Nanoseconds(),
 	}
 	var firstErr error
 	for i := range shards {

@@ -1,22 +1,12 @@
 package loadgen
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"runtime"
 	"time"
 
 	"iqolb/internal/report"
 	"iqolb/internal/stats"
-)
-
-// Throughput artifact schema versions (BENCH_throughput.json); bump on
-// any field addition, removal, or change of meaning.
-const (
-	ThroughputResultSchemaVersion = 1
-	ThroughputFileSchemaVersion   = 1
 )
 
 // ThroughputResult is one open-loop run's measurements. Ops counts wire
@@ -27,16 +17,16 @@ const (
 // this repo are the chaos campaigns, whose outcomes are scheduled, not
 // timed).
 type ThroughputResult struct {
-	SchemaVersion int    `json:"schema_version"`
-	Clients       int    `json:"clients"`
-	Window        int    `json:"window"`
-	FlushDelayNS  int64  `json:"flush_delay_ns"`
-	OpsPerClient  int    `json:"ops_per_client"`
-	Resources     int    `json:"resources"`
-	Seed          uint64 `json:"seed"`
-	Ops           uint64 `json:"ops"`
-	Errors        uint64 `json:"errors"`
-	WallNS        int64  `json:"wall_ns"`
+	Stamp
+	Clients      int    `json:"clients"`
+	Window       int    `json:"window"`
+	FlushDelayNS int64  `json:"flush_delay_ns"`
+	OpsPerClient int    `json:"ops_per_client"`
+	Resources    int    `json:"resources"`
+	Seed         uint64 `json:"seed"`
+	Ops          uint64 `json:"ops"`
+	Errors       uint64 `json:"errors"`
+	WallNS       int64  `json:"wall_ns"`
 	// Throughput is completed wire ops per second of wall time.
 	Throughput float64 `json:"throughput_ops_per_sec"`
 	// Speedup is Throughput over the sweep's (window=1, flush-delay=0)
@@ -51,10 +41,8 @@ type ThroughputResult struct {
 
 // ThroughputFile is the on-disk artifact (BENCH_throughput.json).
 type ThroughputFile struct {
-	SchemaVersion int                `json:"schema_version"`
-	GoVersion     string             `json:"go_version"`
-	NumCPU        int                `json:"num_cpu"`
-	Results       []ThroughputResult `json:"results"`
+	Header
+	Results []ThroughputResult `json:"results"`
 }
 
 // NewThroughputFile wraps sweep results, computing each row's speedup
@@ -72,40 +60,16 @@ func NewThroughputFile(results []ThroughputResult) *ThroughputFile {
 			results[i].Speedup = results[i].Throughput / b
 		}
 	}
-	return &ThroughputFile{
-		SchemaVersion: ThroughputFileSchemaVersion,
-		GoVersion:     runtime.Version(),
-		NumCPU:        runtime.NumCPU(),
-		Results:       results,
-	}
+	return &ThroughputFile{newHeader(), results}
 }
 
 // WriteJSON writes the container as indented JSON.
-func (f *ThroughputFile) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(f)
-}
+func (f *ThroughputFile) WriteJSON(w io.Writer) error { return report.WriteJSON(w, f) }
 
 // LoadThroughputFile reads and version-checks a throughput artifact.
 func LoadThroughputFile(path string) (*ThroughputFile, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
 	var f ThroughputFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("loadgen: %s: %w", path, err)
-	}
-	if f.SchemaVersion != ThroughputFileSchemaVersion {
-		return nil, fmt.Errorf("loadgen: %s: schema version %d, want %d", path, f.SchemaVersion, ThroughputFileSchemaVersion)
-	}
-	for i := range f.Results {
-		if v := f.Results[i].SchemaVersion; v != ThroughputResultSchemaVersion {
-			return nil, fmt.Errorf("loadgen: %s: result %d has schema version %d, want %d", path, i, v, ThroughputResultSchemaVersion)
-		}
-	}
-	return &f, nil
+	return load(path, &f, &f.Header, &f.Results)
 }
 
 // RenderThroughput formats a sweep as the CLI's human-readable table.

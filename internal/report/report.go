@@ -1,11 +1,22 @@
 // Package report renders aligned ASCII tables for the experiment harness
-// (the cmd tools and EXPERIMENTS.md generation).
+// (the cmd tools and EXPERIMENTS.md generation), and writes the JSON
+// artifacts those tables summarize.
 package report
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 )
+
+// WriteJSON writes v in the two-space-indented form of the committed
+// BENCH_* artifacts.
+func WriteJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
+}
 
 // Table accumulates rows and renders them with aligned columns.
 type Table struct {

@@ -50,16 +50,15 @@ var replyChanPool = sync.Pool{
 // use. By default requests serialize on the single connection (one in
 // flight), matching the closed-loop clients of the load generator; open
 // one Client per concurrent actor, or call Pipeline to let one
-// connection carry a window of concurrent requests (wire v3). It speaks
-// wire v2 by default; see SetVersion for talking to a v1-only server.
+// connection carry a window of concurrent requests, told apart by the
+// request IDs of the WireVersion3 layout.
 type Client struct {
 	conn   net.Conn
 	closed atomic.Bool
 
-	// version, opTimeout, and pl are atomics because the pipelined hot
-	// path reads them on every op from many goroutines; taking the
-	// round-trip mutex just to read them would serialize the window.
-	version   atomic.Uint32
+	// opTimeout and pl are atomics because the pipelined hot path reads
+	// them on every op from many goroutines; taking the round-trip mutex
+	// just to read them would serialize the window.
 	opTimeout atomic.Int64                   // time.Duration
 	pl        atomic.Pointer[clientPipeline] // nil until Pipeline
 
@@ -89,30 +88,11 @@ func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 
 // NewClient wraps an established connection.
 func NewClient(conn net.Conn) *Client {
-	c := &Client{
+	return &Client{
 		conn: conn,
 		br:   bufio.NewReaderSize(conn, 32<<10),
 		dec:  NewDecoder(),
 	}
-	c.version.Store(uint32(WireVersion2))
-	return c
-}
-
-// SetVersion selects the wire version for subsequent requests
-// (WireVersion for a v1-only server, WireVersion2 by default;
-// WireVersion3 frames carry pipelining IDs — use Pipeline to actually
-// run a window).
-func (c *Client) SetVersion(v uint8) error {
-	if v != WireVersion && v != WireVersion2 && v != WireVersion3 {
-		return wireErrf("unknown client version %d", v)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.pl.Load() != nil {
-		return wireErrf("cannot change version on a pipelined client")
-	}
-	c.version.Store(uint32(v))
-	return nil
 }
 
 // SetOpTimeout bounds each subsequent operation, so a dead or
@@ -120,14 +100,14 @@ func (c *Client) SetVersion(v uint8) error {
 // lock-step mode it is a connection deadline around the round trip; in
 // pipelined mode each op registers a deadline that the pipeline's
 // watchdog enforces (the shared socket cannot carry per-op read
-// deadlines). With wire v2+ the same budget is propagated to the server
-// inside acquire frames, which clamps its queued wait to the client's
-// remaining budget. 0 disables.
+// deadlines). The same budget is propagated to the server inside
+// acquire frames, which clamps its queued wait to the client's remaining
+// budget. 0 disables.
 func (c *Client) SetOpTimeout(d time.Duration) {
 	c.opTimeout.Store(int64(d))
 }
 
-// Pipeline switches the client to pipelined mode: wire v3 frames, up to
+// Pipeline switches the client to pipelined mode: WireVersion3 frames, up to
 // `window` requests in flight at once on the one connection (0 =
 // DefaultWindow), responses demultiplexed by request ID. flushDelay > 0
 // additionally coalesces request frames — the socket is held up to that
@@ -150,7 +130,6 @@ func (c *Client) Pipeline(window int, flushDelay time.Duration) error {
 	// Clear any lock-step deadline left on the socket; pipelined ops are
 	// bounded by watchdog-enforced per-op deadlines instead.
 	c.conn.SetDeadline(time.Time{})
-	c.version.Store(uint32(WireVersion3))
 	pl := &clientPipeline{
 		c:       c,
 		fw:      newFlushWriter(c.conn, flushDelay),
@@ -178,7 +157,10 @@ func (c *Client) Close() error {
 }
 
 // roundTrip executes one request: pipelined when a window is active,
-// lock-step (write, then read, under the mutex) otherwise.
+// lock-step (write, then read, under the mutex) otherwise. A lock-step
+// round trip that fails on the socket closes the connection: the
+// response it gave up on may still arrive, and with no request IDs the
+// next op would take it for its own.
 func (c *Client) roundTrip(req Request) (Response, error) {
 	if pl := c.pl.Load(); pl != nil {
 		if c.closed.Load() {
@@ -191,7 +173,6 @@ func (c *Client) roundTrip(req Request) (Response, error) {
 	if c.closed.Load() {
 		return Response{}, net.ErrClosed
 	}
-	req.Version = uint8(c.version.Load())
 	if d := time.Duration(c.opTimeout.Load()); d > 0 {
 		c.conn.SetDeadline(time.Now().Add(d))
 	}
@@ -200,10 +181,15 @@ func (c *Client) roundTrip(req Request) (Response, error) {
 		return Response{}, err
 	}
 	c.enc = frame
-	if _, err := c.conn.Write(frame); err != nil {
-		return Response{}, err
+	_, err = c.conn.Write(frame)
+	var resp Response
+	if err == nil {
+		resp, err = c.dec.ReadResponse(c.br)
 	}
-	return c.dec.ReadResponse(c.br)
+	if err != nil {
+		c.Close()
+	}
+	return resp, err
 }
 
 // clientPipeline is the demultiplexing response router behind a
@@ -240,8 +226,8 @@ type pendingOp struct {
 	deadline int64
 }
 
-// opTimedOut is the watchdog's in-band timeout marker: an op byte no
-// wire version emits, delivered on the reply channel so do() needs only
+// opTimedOut is the watchdog's in-band timeout marker: an op byte the
+// wire never carries, delivered on the reply channel so do() needs only
 // one channel receive instead of a select with a timer.
 const opTimedOut = 0xFF
 
@@ -432,21 +418,9 @@ func (p *clientPipeline) readLoop(br *bufio.Reader) {
 	}
 }
 
-// Acquire requests a lease over the wire; errors are the same typed
-// sentinels the in-process API returns.
-func (c *Client) Acquire(resource, owner string, opt AcquireOptions) (Lease, error) {
-	req := Request{
-		Op:       OpAcquire,
-		Resource: resource,
-		Owner:    owner,
-		TTL:      opt.TTL,
-		MaxWait:  opt.MaxWait,
-		Wait:     opt.Wait,
-	}
-	if d := time.Duration(c.opTimeout.Load()); d > 0 && uint8(c.version.Load()) >= WireVersion2 {
-		req.Deadline = time.Now().Add(d).UnixNano()
-	}
-	resp, err := c.roundTrip(req)
+// leaseReply maps the response to an acquire or resume onto the lease
+// it grants or the typed error it carries.
+func leaseReply(what, resource, owner string, resp Response, err error) (Lease, error) {
 	if err != nil {
 		return Lease{}, err
 	}
@@ -462,18 +436,12 @@ func (c *Client) Acquire(resource, owner string, opt AcquireOptions) (Lease, err
 	case OpError:
 		return Lease{}, codeError(resp)
 	}
-	return Lease{}, fmt.Errorf("service: unexpected response op %d to acquire", resp.Op)
+	return Lease{}, fmt.Errorf("service: unexpected response op %d to %s", resp.Op, what)
 }
 
-// Release ends a lease over the wire.
-func (c *Client) Release(resource string, token uint64) error {
-	return c.ReleaseFenced(resource, token, 0)
-}
-
-// ReleaseFenced ends a lease over the wire with its fencing token
-// (wire v2); fence 0 makes no fence claim.
-func (c *Client) ReleaseFenced(resource string, token, fence uint64) error {
-	resp, err := c.roundTrip(Request{Op: OpRelease, Resource: resource, Token: token, Fence: fence})
+// okReply maps the response to a release or ping onto nil or the typed
+// error it carries.
+func okReply(what string, resp Response, err error) error {
 	if err != nil {
 		return err
 	}
@@ -483,39 +451,49 @@ func (c *Client) ReleaseFenced(resource string, token, fence uint64) error {
 	case OpError:
 		return codeError(resp)
 	}
-	return fmt.Errorf("service: unexpected response op %d to release", resp.Op)
+	return fmt.Errorf("service: unexpected response op %d to %s", resp.Op, what)
 }
 
-// Resume re-validates a held lease after a reconnect (wire v2): the
-// live lease if the token still holds the resource, or the typed reason
-// it no longer does.
+// Acquire requests a lease over the wire; errors are the same typed
+// sentinels the in-process API returns.
+func (c *Client) Acquire(resource, owner string, opt AcquireOptions) (Lease, error) {
+	req := Request{
+		Op:       OpAcquire,
+		Resource: resource,
+		Owner:    owner,
+		TTL:      opt.TTL,
+		MaxWait:  opt.MaxWait,
+		Wait:     opt.Wait,
+	}
+	if d := time.Duration(c.opTimeout.Load()); d > 0 {
+		req.Deadline = time.Now().Add(d).UnixNano()
+	}
+	resp, err := c.roundTrip(req)
+	return leaseReply("acquire", resource, owner, resp, err)
+}
+
+// Release ends a lease over the wire.
+func (c *Client) Release(resource string, token uint64) error {
+	return c.ReleaseFenced(resource, token, 0)
+}
+
+// ReleaseFenced ends a lease over the wire with its fencing token;
+// fence 0 makes no fence claim.
+func (c *Client) ReleaseFenced(resource string, token, fence uint64) error {
+	resp, err := c.roundTrip(Request{Op: OpRelease, Resource: resource, Token: token, Fence: fence})
+	return okReply("release", resp, err)
+}
+
+// Resume re-validates a held lease after a reconnect: the live lease if
+// the token still holds the resource, or the typed reason it no longer
+// does.
 func (c *Client) Resume(resource string, token, fence uint64) (Lease, error) {
 	resp, err := c.roundTrip(Request{Op: OpResume, Resource: resource, Token: token, Fence: fence})
-	if err != nil {
-		return Lease{}, err
-	}
-	switch resp.Op {
-	case OpGranted:
-		return Lease{
-			Resource: resource,
-			Token:    resp.Token,
-			Fence:    resp.Fence,
-			Deadline: time.Unix(0, resp.Deadline),
-		}, nil
-	case OpError:
-		return Lease{}, codeError(resp)
-	}
-	return Lease{}, fmt.Errorf("service: unexpected response op %d to resume", resp.Op)
+	return leaseReply("resume", resource, "", resp, err)
 }
 
 // Ping round-trips a no-op frame.
 func (c *Client) Ping() error {
 	resp, err := c.roundTrip(Request{Op: OpPing})
-	if err != nil {
-		return err
-	}
-	if resp.Op != OpOK {
-		return fmt.Errorf("service: unexpected response op %d to ping", resp.Op)
-	}
-	return nil
+	return okReply("ping", resp, err)
 }

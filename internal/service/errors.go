@@ -57,9 +57,9 @@ var (
 )
 
 // RetryAfterError wraps a shed-class sentinel with the server's back-off
-// hint (wire v2 retry-after): the server inserting a delay into the
-// client's retry loop, the same anti-herd move the paper makes in spin
-// loops. errors.Is/As see through it.
+// hint (the wire's retry-after field): the server inserting a delay into
+// the client's retry loop, the same anti-herd move the paper makes in
+// spin loops. errors.Is/As see through it.
 type RetryAfterError struct {
 	Err   error
 	After time.Duration

@@ -144,18 +144,6 @@ func TestPipelinedInterop(t *testing.T) {
 	if err := v3.ReleaseFenced("shared", l3.Token, l3.Fence); err != nil {
 		t.Fatal(err)
 	}
-	// v1 interop: a v1 client on the same server still round-trips.
-	v1, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v1.Close()
-	if err := v1.SetVersion(WireVersion); err != nil {
-		t.Fatal(err)
-	}
-	if err := v1.Ping(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestPipelinedOpTimeout pins the per-op timer: with a server that

@@ -63,7 +63,7 @@ func (p RetryPolicy) band(attempt int) time.Duration {
 // ResilientOptions tune a ResilientClient.
 type ResilientOptions struct {
 	// OpTimeout bounds each round trip (default 1s); it doubles as the
-	// propagated acquire deadline (wire v2).
+	// propagated acquire deadline.
 	OpTimeout time.Duration
 	// DialTimeout bounds each (re)connect (default OpTimeout).
 	DialTimeout time.Duration

@@ -100,6 +100,79 @@ func TestClientCloseUnblocksPendingRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLockstepFailedRoundTripClosesConn pins the desync fix. A lock-step
+// op that times out on the socket leaves its response in flight; with no
+// request IDs, every later op on that connection would read its
+// predecessor's answer (the second acquire "fails" with the first one's
+// wait-timeout, the ping is handed the second acquire's grant, and the
+// client holds a lease it never learns of). The failed round trip must
+// close the connection instead, so later ops fail net.ErrClosed.
+func TestLockstepFailedRoundTripClosesConn(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	timedOut := make(chan struct{})
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		// A slow peer: it sits on the first answer until the client has
+		// given up on it, then answers every request in arrival order.
+		dec := NewDecoder()
+		for first := true; ; first = false {
+			req, err := dec.ReadRequest(conn)
+			if err != nil {
+				return
+			}
+			resp := Response{Op: OpOK}
+			switch {
+			case first:
+				<-timedOut
+				resp = Response{Op: OpError, Code: CodeTimeout, Msg: ErrWaitTimeout.Error()}
+			case req.Op == OpAcquire:
+				resp = Response{Op: OpGranted, Token: 7, Fence: 1, Deadline: time.Now().Add(time.Minute).UnixNano()}
+			}
+			frame, err := AppendResponse(nil, resp)
+			if err != nil {
+				return
+			}
+			if _, err := conn.Write(frame); err != nil {
+				return
+			}
+		}
+	}()
+
+	c, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetOpTimeout(50 * time.Millisecond)
+	_, err = c.Acquire("x", "o", AcquireOptions{Wait: true})
+	var nerr net.Error
+	if !errors.As(err, &nerr) || !nerr.Timeout() {
+		t.Fatalf("acquire x against a slow peer: %v, want a socket timeout", err)
+	}
+	close(timedOut)
+	if l, err := c.Acquire("y", "o", AcquireOptions{}); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("acquire y after a failed round trip: %+v, %v; want net.ErrClosed", l, err)
+	}
+	if err := c.Ping(); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("ping after a failed round trip: %v, want net.ErrClosed", err)
+	}
+	select {
+	case <-served:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the failed round trip left the connection open")
+	}
+}
+
 // TestClientsNoGoroutineLeak churns many client connections through the
 // server and asserts both sides drain completely.
 func TestClientsNoGoroutineLeak(t *testing.T) {
@@ -142,7 +215,7 @@ func TestServerIdleTimeoutReaps(t *testing.T) {
 	defer conn.Close()
 	// Send nothing; the server must hang up on its own.
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := ReadResponse(conn); err == nil {
+	if _, err := NewDecoder().ReadResponse(conn); err == nil {
 		t.Fatal("idle connection got a response out of nowhere")
 	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
 		t.Fatal("server never reaped the idle connection")
@@ -181,7 +254,7 @@ func TestServerMaxWaitCap(t *testing.T) {
 	}
 }
 
-// TestServerDeadlinePropagation: a v2 acquire whose propagated deadline
+// TestServerDeadlinePropagation: an acquire whose propagated deadline
 // has already passed is refused immediately with the typed timeout.
 func TestServerDeadlinePropagation(t *testing.T) {
 	_, addr := startServerOpts(t, nil, ServerOptions{})
@@ -206,7 +279,7 @@ func TestServerDeadlinePropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	resp, err := ReadResponse(conn)
+	resp, err := NewDecoder().ReadResponse(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +291,7 @@ func TestServerDeadlinePropagation(t *testing.T) {
 	}
 }
 
-// TestServerFenceOverWire exercises the v2 fencing surface end to end:
+// TestServerFenceOverWire exercises the fencing surface end to end:
 // fences arrive with grants, protect releases, and gate resume.
 func TestServerFenceOverWire(t *testing.T) {
 	_, addr := startServerOpts(t, nil, ServerOptions{})
@@ -232,7 +305,7 @@ func TestServerFenceOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	if l.Fence == 0 {
-		t.Fatal("v2 grant carried no fence")
+		t.Fatal("grant carried no fence")
 	}
 	if err := c.ReleaseFenced("r", l.Token, l.Fence+1); !errors.Is(err, ErrFenced) {
 		t.Fatalf("wrong-fence release: %v, want ErrFenced", err)
@@ -249,33 +322,6 @@ func TestServerFenceOverWire(t *testing.T) {
 	}
 	if _, err := c.Resume("r", l.Token, l.Fence); !errors.Is(err, ErrNotHeld) {
 		t.Fatalf("resume after release: %v, want ErrNotHeld", err)
-	}
-}
-
-// TestServerV1Interop: a v1 client works unchanged against the v2
-// server, and the server answers it in v1.
-func TestServerV1Interop(t *testing.T) {
-	_, addr := startServerOpts(t, nil, ServerOptions{})
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.SetVersion(WireVersion); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Ping(); err != nil {
-		t.Fatal(err)
-	}
-	l, err := c.Acquire("r", "legacy", AcquireOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.Fence != 0 {
-		t.Fatalf("v1 grant carried a fence: %+v", l)
-	}
-	if err := c.Release("r", l.Token); err != nil {
-		t.Fatal(err)
 	}
 }
 

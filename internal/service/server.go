@@ -31,7 +31,7 @@ type ServerOptions struct {
 	// connection cannot pin its goroutine in the admission queue
 	// indefinitely (0 = honor the client's request unbounded).
 	MaxWait time.Duration
-	// RetryAfter, when positive, is attached to wire-v2 shed-class
+	// RetryAfter, when positive, is attached to shed-class
 	// refusals (queue-full, shed, degraded, draining) as the retry-after
 	// hint: the server inserting a delay into the client's retry loop,
 	// which is the paper's anti-herd delay one layer up.
@@ -41,11 +41,11 @@ type ServerOptions struct {
 	// one write syscall — delay-inserted write coalescing, the paper's
 	// throughput-for-p50 trade made explicit (0 = write through).
 	FlushDelay time.Duration
-	// Window caps the concurrently-executing pipelined (wire v3)
+	// Window caps the concurrently-executing pipelined (WireVersion3)
 	// requests per connection; once the window is full the connection's
 	// read loop stops pulling frames, pushing backpressure into the TCP
-	// window. v1/v2 connections stay strictly one-in-flight regardless
-	// (0 = DefaultWindow).
+	// window. Lock-step connections stay strictly one-in-flight
+	// regardless (0 = DefaultWindow).
 	Window int
 }
 
@@ -53,11 +53,11 @@ type ServerOptions struct {
 // ServerOptions.Window is zero.
 const DefaultWindow = 32
 
-// Server serves the wire protocol over TCP, one goroutine per
-// connection with a strict one-request-in-flight-per-connection
-// discipline (the closed-loop clients the load generator models never
-// pipeline). Waiting acquires block the connection's request, which is
-// exactly the queued-waiter semantics of the in-process API.
+// Server serves the wire protocol over TCP, one read loop per
+// connection. A lock-step connection's waiting acquire blocks its read
+// loop, which is exactly the queued-waiter semantics of the in-process
+// API; a pipelined connection's acquires wait on a worker pool instead
+// (see serveConn).
 type Server struct {
 	svc Backend
 	opt ServerOptions
@@ -178,16 +178,18 @@ func (s *Server) dropConn(conn net.Conn) {
 // set, a peer that goes quiet (or half-open) between requests is reaped
 // by the read deadline instead of pinning the goroutine forever.
 //
-// v1/v2 frames dispatch serially in-line, preserving the strict
-// one-in-flight discipline those clients rely on. The first v3 frame
-// lazily starts the connection's pipeline: a fixed pool of `window`
-// workers fed by a window-deep channel, so at most `window` requests
-// execute concurrently and at most another window sit decoded awaiting
-// a worker; past that the read loop blocks (TCP backpressure) rather
-// than growing an unbounded queue. The buffer keeps the read loop
-// decoding while workers run instead of stalling on a synchronous
-// goroutine hand-off per frame. Responses leave through the shared
-// flushWriter in completion order; request IDs let the client reorder.
+// The version byte of each arriving frame selects how it is served.
+// Frames without a request ID dispatch serially in-line, preserving the
+// strict one-in-flight discipline lock-step clients rely on. The first
+// acquire that carries an ID lazily starts the connection's pipeline: a
+// fixed pool of `window` workers fed by a window-deep channel, so at
+// most `window` requests execute concurrently and at most another
+// window sit decoded awaiting a worker; past that the read loop blocks
+// (TCP backpressure) rather than growing an unbounded queue. The buffer
+// keeps the read loop decoding while workers run instead of stalling on
+// a synchronous goroutine hand-off per frame. Responses leave through
+// the shared flushWriter in completion order; request IDs let the client
+// reorder.
 func (s *Server) serveConn(conn net.Conn) {
 	dec := NewDecoder()
 	// 32 KiB: coalesced peers deliver multi-frame batches (up to the
@@ -212,8 +214,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err != nil {
 			var werr *WireError
 			if errors.As(err, &werr) {
-				// Malformed frames are version-ambiguous; answer in v1,
-				// which every client decodes.
+				// The frame's own layout is unknowable; answer without an ID.
 				resp := Response{Op: OpError, Code: CodeBadFrame, Msg: werr.Msg}
 				if out, eerr := AppendResponse(scratch[:0], resp); eerr == nil {
 					fw.WriteFrame(out)
@@ -221,45 +222,39 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			return // EOF, closed socket, idle deadline, or malformed frame
 		}
-		if req.Version == WireVersion3 {
-			// Acquires can park in an admission queue, so they run on the
-			// window's worker pool. Everything else (release, resume, ping)
-			// only ever takes a shard lock briefly — dispatching those
-			// inline on the read loop skips a goroutine hand-off per op,
-			// which at pipelined rates is a top-line scheduler cost on few
-			// cores. Responses interleave by ID, so ordering is free.
-			if req.Op == OpAcquire {
-				if pl == nil {
-					pl = s.startPipeline(conn, fw)
-				}
-				pl.submit(req)
-				continue
+		// Acquires can park in an admission queue, so pipelined ones run on
+		// the window's worker pool. Everything else (release, resume, ping)
+		// only ever takes a shard lock briefly — dispatching those inline on
+		// the read loop skips a goroutine hand-off per op, which at
+		// pipelined rates is a top-line scheduler cost on few cores.
+		// Responses interleave by ID, so ordering is free.
+		if req.Version == WireVersion3 && req.Op == OpAcquire {
+			if pl == nil {
+				pl = s.startPipeline(conn, fw)
 			}
-			resp := s.dispatch(req)
-			resp.ID = req.ID
-			out, err := AppendResponse(scratch[:0], resp)
-			if err != nil {
-				return
-			}
-			scratch = out
-			if err := fw.WriteFrame(out); err != nil {
-				return
-			}
+			pl.submit(req)
 			continue
 		}
-		resp := s.dispatch(req)
-		out, err := AppendResponse(scratch[:0], resp)
-		if err != nil {
-			return
-		}
-		scratch = out
-		if err := fw.WriteFrame(out); err != nil {
+		if scratch, err = s.reply(fw, scratch, req); err != nil {
 			return
 		}
 	}
 }
 
-// connPipeline is one connection's v3 worker pool.
+// reply executes req and writes its response in the layout, and under
+// the ID, the request arrived with. The response is encoded into scratch,
+// which is returned (possibly grown) for the caller's next reply.
+func (s *Server) reply(fw *flushWriter, scratch []byte, req Request) ([]byte, error) {
+	resp := s.dispatch(req)
+	resp.Version, resp.ID = req.Version, req.ID
+	out, err := AppendResponse(scratch[:0], resp)
+	if err != nil {
+		return scratch, err
+	}
+	return out, fw.WriteFrame(out)
+}
+
+// connPipeline is one pipelined connection's worker pool.
 type connPipeline struct {
 	reqs chan Request
 	wg   sync.WaitGroup
@@ -281,24 +276,13 @@ func (s *Server) startPipeline(conn net.Conn, fw *flushWriter) *connPipeline {
 		go func() {
 			defer pl.wg.Done()
 			var scratch []byte
-			failed := false
+			var err error
 			for req := range pl.reqs {
-				if failed {
+				if err != nil {
 					continue // drain so submit never blocks without receivers
 				}
-				resp := s.dispatch(req)
-				resp.ID = req.ID
-				out, err := AppendResponse(scratch[:0], resp)
-				if err != nil {
-					failed = true
+				if scratch, err = s.reply(fw, scratch, req); err != nil {
 					conn.Close()
-					continue
-				}
-				scratch = out
-				if err := fw.WriteFrame(out); err != nil {
-					failed = true
-					conn.Close()
-					continue
 				}
 			}
 		}()
@@ -317,20 +301,24 @@ func (pl *connPipeline) stop() {
 	pl.wg.Wait()
 }
 
-// errResp builds the typed error response for v, attaching the
-// retry-after hint to v2 shed-class refusals.
-func (s *Server) errResp(v uint8, err error) Response {
-	resp := Response{Version: v, Op: OpError, Code: errorCode(err), Msg: err.Error()}
-	if v >= WireVersion2 && s.opt.RetryAfter > 0 && shedClass(resp.Code) {
+// errResp builds the typed error response, attaching the retry-after
+// hint to shed-class refusals.
+func (s *Server) errResp(err error) Response {
+	resp := Response{Op: OpError, Code: errorCode(err), Msg: err.Error()}
+	if s.opt.RetryAfter > 0 && shedClass(resp.Code) {
 		resp.RetryAfter = s.opt.RetryAfter
 	}
 	return resp
 }
 
-// dispatch executes one request against the service, answering in the
-// version the request arrived in.
+// granted builds the response carrying a lease.
+func granted(lease Lease) Response {
+	return Response{Op: OpGranted, Token: lease.Token, Deadline: lease.Deadline.UnixNano(), Fence: lease.Fence}
+}
+
+// dispatch executes one request against the service; reply stamps the
+// response's layout.
 func (s *Server) dispatch(req Request) Response {
-	v := req.Version
 	switch req.Op {
 	case OpAcquire:
 		opt := AcquireOptions{TTL: req.TTL, Wait: req.Wait, MaxWait: req.MaxWait}
@@ -343,7 +331,7 @@ func (s *Server) dispatch(req Request) Response {
 			// cannot hold a queue slot (or this goroutine) past it.
 			remaining := time.Until(time.Unix(0, req.Deadline))
 			if remaining <= 0 {
-				return s.errResp(v, ErrWaitTimeout)
+				return s.errResp(ErrWaitTimeout)
 			}
 			if opt.Wait && (opt.MaxWait <= 0 || opt.MaxWait > remaining) {
 				opt.MaxWait = remaining
@@ -351,27 +339,22 @@ func (s *Server) dispatch(req Request) Response {
 		}
 		lease, err := s.svc.Acquire(req.Resource, req.Owner, opt)
 		if err != nil {
-			return s.errResp(v, err)
+			return s.errResp(err)
 		}
-		resp := Response{Version: v, Op: OpGranted, Token: lease.Token, Deadline: lease.Deadline.UnixNano()}
-		if v >= WireVersion2 {
-			resp.Fence = lease.Fence
-		}
-		return resp
+		return granted(lease)
 	case OpRelease:
 		if err := s.svc.ReleaseFenced(req.Resource, req.Token, req.Fence); err != nil {
-			return s.errResp(v, err)
+			return s.errResp(err)
 		}
-		return Response{Version: v, Op: OpOK}
+		return Response{Op: OpOK}
 	case OpResume:
 		lease, err := s.svc.Resume(req.Resource, req.Token, req.Fence)
 		if err != nil {
-			return s.errResp(v, err)
+			return s.errResp(err)
 		}
-		resp := Response{Version: v, Op: OpGranted, Token: lease.Token, Deadline: lease.Deadline.UnixNano(), Fence: lease.Fence}
-		return resp
+		return granted(lease)
 	case OpPing:
-		return Response{Version: v, Op: OpOK}
+		return Response{Op: OpOK}
 	}
-	return Response{Version: v, Op: OpError, Code: CodeBadFrame, Msg: "unknown op"}
+	return Response{Op: OpError, Code: CodeBadFrame, Msg: "unknown op"}
 }

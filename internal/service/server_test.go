@@ -122,48 +122,55 @@ func TestServerHandoffOverWire(t *testing.T) {
 	}
 }
 
-// TestServerMalformedFrame pins the abuse path: garbage gets a typed
-// CodeBadFrame response, the connection is closed, and no connection
+// TestServerMalformedFrame pins the abuse path: garbage — an oversized
+// payload, and each version byte the server does not speak (0, the
+// retired 1, the unassigned 4) — gets a typed CodeBadFrame response in
+// the WireVersion2 layout, the connection is closed, and no connection
 // goroutine leaks — even across many abusive connections.
 func TestServerMalformedFrame(t *testing.T) {
-	before := runtime.NumGoroutine()
-	srv, addr := startServer(t, nil)
-	for i := 0; i < 20; i++ {
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := conn.Write([]byte{2, 0xee, 0xff, 0xff}); err != nil {
-			t.Fatal(err)
-		}
-		resp, err := ReadResponse(conn)
-		if err != nil {
-			t.Fatalf("conn %d: no bad-frame response: %v", i, err)
-		}
-		if resp.Op != OpError || resp.Code != CodeBadFrame {
-			t.Fatalf("conn %d: resp = %+v, want OpError/CodeBadFrame", i, resp)
-		}
-		// The server hangs up after a malformed frame.
-		if _, err := ReadResponse(conn); err == nil {
-			t.Fatalf("conn %d: connection still open after malformed frame", i)
-		}
-		conn.Close()
+	frames := map[string][]byte{
+		"oversized payload": {2, 0xee, 0xff, 0xff},
+		"version 0":         {0, OpPing, 0, 0},
+		"version 1":         {1, OpPing, 0, 0},
+		"version 4":         {4, OpPing, 0, 0},
 	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Connection goroutines must drain. Close waits for them, so only
-	// scheduler noise remains; poll briefly to let it settle.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if runtime.NumGoroutine() <= before+2 {
-			return
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 64<<10)
-			t.Fatalf("goroutines leaked: %d -> %d\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(5 * time.Millisecond)
+	for name, frame := range frames {
+		t.Run(name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			srv, addr := startServer(t, nil)
+			for i := 0; i < 5; i++ {
+				conn, err := net.Dial("tcp", addr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := conn.Write(frame); err != nil {
+					t.Fatal(err)
+				}
+				dec := NewDecoder()
+				resp, err := dec.ReadResponse(conn)
+				if err != nil {
+					t.Fatalf("conn %d: no bad-frame response: %v", i, err)
+				}
+				if resp.Version != WireVersion2 || resp.Op != OpError || resp.Code != CodeBadFrame {
+					t.Fatalf("conn %d: resp = %+v, want v2 OpError/CodeBadFrame", i, resp)
+				}
+				var werr *WireError
+				if !errors.As(codeError(resp), &werr) {
+					t.Fatalf("conn %d: %v does not map to *WireError", i, codeError(resp))
+				}
+				// The server hangs up after a malformed frame.
+				if _, err := dec.ReadResponse(conn); err == nil {
+					t.Fatalf("conn %d: connection still open after malformed frame", i)
+				}
+				conn.Close()
+			}
+			if err := srv.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// Close waits for the connection goroutines, so only scheduler
+			// noise remains.
+			waitGoroutines(t, before)
+		})
 	}
 }
 

@@ -548,7 +548,9 @@ func (s *Service) ShardPolicy(shard int) (p Policy, degraded bool, err error) {
 func (s *Service) shardFor(resource string) *shard {
 	h := fnv.New32a()
 	h.Write([]byte(resource))
-	return s.shards[int(h.Sum32())%len(s.shards)]
+	// The modulo is taken unsigned: on a 32-bit int, a hash ≥ 2³¹ would
+	// convert negative and index out of range.
+	return s.shards[h.Sum32()%uint32(len(s.shards))]
 }
 
 // pendingCallbacks enqueues a deferred callback; runCallbacks drains the

@@ -36,6 +36,22 @@ func newTestService(t *testing.T, mut func(*Config)) (*Service, *FakeClock) {
 	return s, clk
 }
 
+// TestShardMapping pins resource → shard at the default shard count, for
+// names the committed BENCH_* artifacts were taken on (loadgen's res-N
+// and res-C-W, the chaos campaign's rN): the hash or its reduction must
+// not drift under them. Four of the five hash above 2³¹, where a signed
+// 32-bit reduction would go negative.
+func TestShardMapping(t *testing.T) {
+	s, _ := newTestService(t, func(c *Config) { c.Shards = 0 })
+	for resource, want := range map[string]int{
+		"res-0": 4, "res-1": 7, "res-0-0": 1, "res-3-1": 3, "r0": 7,
+	} {
+		if got := s.shardFor(resource); got != s.shards[want] {
+			t.Errorf("%q: not on shard %d", resource, want)
+		}
+	}
+}
+
 func TestAcquireReleaseBasic(t *testing.T) {
 	s, _ := newTestService(t, nil)
 	l, err := s.Acquire("db", "alice", AcquireOptions{})
@@ -417,6 +433,12 @@ func TestDegradedExclusion(t *testing.T) {
 					defer wg.Done()
 					res := fmt.Sprintf("res%d", g%2)
 					for i := 0; i < ops; i++ {
+						if i == ops/2 && g == 0 {
+							// Trip the watchdog mid-hammer, whether or not this
+							// iteration's acquire goes on to be refused.
+							clk.Advance(2 * time.Second)
+							s.SweepExpired()
+						}
 						l, err := s.Acquire(res, "w", AcquireOptions{TTL: time.Minute})
 						if err != nil {
 							continue // busy: fine, we only count held work
@@ -428,11 +450,6 @@ func TestDegradedExclusion(t *testing.T) {
 						if err := s.Release(res, l.Token); err != nil {
 							t.Errorf("release: %v", err)
 							return
-						}
-						if i == ops/2 && g == 0 {
-							// Trip the watchdog mid-hammer.
-							clk.Advance(2 * time.Second)
-							s.SweepExpired()
 						}
 					}
 				}(g)

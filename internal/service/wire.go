@@ -8,54 +8,45 @@ import (
 	"time"
 )
 
-// The lockserve wire protocol. Every frame is:
+// The lockserve wire protocol has one frame layout:
 //
-//	byte 0      protocol version (WireVersion, WireVersion2, or WireVersion3)
-//	byte 1      op code
-//	bytes 2..3  big-endian payload length (≤ MaxPayload)
-//	bytes 4..   payload
+//	header   byte 0      version: WireVersion2, or WireVersion3 = "an ID follows"
+//	         byte 1      op code
+//	         bytes 2..3  big-endian payload length (≤ MaxPayload)
+//	payload  [u64 request ID]           only when the version byte is 3
+//	         per-op body:
+//	           OpAcquire  str resource, str owner, u32 ttl ms, u32 max-wait ms,
+//	                      u8 flags (bit 0 = wait), u64 deadline UnixNano (0 = none)
+//	           OpRelease  str resource, u64 token, u64 fence (0 = no claim)
+//	           OpResume   str resource, u64 token, u64 fence
+//	           OpPing     empty
+//	           OpGranted  u64 token, u64 deadline UnixNano, u64 fence
+//	           OpOK       empty
+//	           OpError    u8 code, str message, u32 retry-after ms (0 = none)
 //
-// Strings are u16-length-prefixed UTF-8 (not validated as UTF-8; the
-// service treats names as opaque bytes). Durations travel as u32
-// milliseconds, absolute deadlines as u64 UnixNano. The codec is
-// strict: unknown versions, unknown ops, oversized fields, and payloads
-// whose length does not exactly match their fields are all typed
-// *WireError rejections — the fuzz target (FuzzServiceWire) holds the
-// codec to "parse exactly or reject, never panic, and re-encode parsed
-// frames byte-identically".
+// str is a u16-length-prefixed byte string (not validated as UTF-8; the
+// service treats names as opaque bytes). The codec is strict: unknown
+// versions, unknown ops, oversized fields, and payloads whose length
+// does not exactly match their fields are all typed *WireError
+// rejections — the fuzz target (FuzzServiceWire) holds the codec to
+// "parse exactly or reject, never panic, and re-encode parsed frames
+// byte-identically".
 //
-// Version 2 adds the network-fault-tolerance fields:
+// What the fields are for: the acquire deadline lets the server clamp
+// its queued wait to the client's remaining budget, so an abandoned
+// client cannot pin a server goroutine. The fence on release/resume
+// turns a zombie holder's stale claim into the typed ErrFenced. The
+// retry-after hint on shed-class refusals is the server inserting a
+// delay into the client's retry loop — the paper's delay-insertion
+// argument applied to the re-arrival herd after a fault.
 //
-//   - OpAcquire carries an absolute client deadline (deadline
-//     propagation: the server clamps its queued wait to the remaining
-//     budget, so an abandoned client cannot pin a server goroutine).
-//   - OpRelease carries the lease's fencing token, so a zombie holder's
-//     stale release is rejected with the typed ErrFenced instead of a
-//     generic ErrNotHeld.
-//   - OpResume (v2+) re-validates a held lease after a reconnect:
-//     resource + token + fence in, the live lease or a typed loss
-//     verdict out.
-//   - OpGranted carries the lease's fencing token.
-//   - OpError carries a retry-after hint (milliseconds) on shed-class
-//     refusals — the server inserting a delay into the client's retry
-//     loop, which is the paper's delay-insertion argument applied to
-//     the re-arrival herd after a fault.
-//
-// Version 3 adds pipelining: every v3 payload begins with a big-endian
-// u64 request ID, and responses echo the ID of the request they answer.
-// IDs are what let one connection carry a window of outstanding ops with
-// responses returning in completion order — the demultiplexing router in
-// Client matches them back up. The ID lives in the payload (not the
-// header) deliberately: the frame envelope is identical across versions,
-// so frame-aware middleboxes (the chaos proxy) relay v3 traffic without
-// changes. A v3 server answers each request in the version it arrived
-// in; v1/v2 connections keep their strict one-in-flight discipline.
-//
-// A v2+ server still accepts well-formed v1 frames (and answers them in
-// v1); malformed frames of any version are rejected typed, never hung
-// on.
+// The request ID is what lets one connection carry a window of
+// outstanding ops with responses returning in completion order; the
+// response echoes the ID and the layout of the request it answers. It
+// lives in the payload, not the header, so frame-aware middleboxes (the
+// chaos proxy) relay both layouts alike. Lock-step connections — one
+// round trip at a time, nothing to demultiplex — leave it out.
 const (
-	WireVersion  = 1
 	WireVersion2 = 2
 	WireVersion3 = 3
 	// MaxPayload bounds one frame's payload; MaxResourceLen/MaxOwnerLen
@@ -64,7 +55,7 @@ const (
 	MaxResourceLen = 256
 	MaxOwnerLen    = 128
 	wireHeaderLen  = 4
-	// wireIDLen is the v3 request-ID prefix inside the payload.
+	// wireIDLen is the request-ID prefix inside a WireVersion3 payload.
 	wireIDLen = 8
 )
 
@@ -73,9 +64,9 @@ const (
 	OpAcquire uint8 = 1
 	OpRelease uint8 = 2
 	OpPing    uint8 = 3
-	// OpResume re-validates a lease over a fresh connection (wire v2+):
-	// the server answers OpGranted if the token still holds the
-	// resource, or the typed reason it no longer does.
+	// OpResume re-validates a lease over a fresh connection: the server
+	// answers OpGranted if the token still holds the resource, or the
+	// typed reason it no longer does.
 	OpResume uint8 = 4
 )
 
@@ -101,10 +92,10 @@ const (
 	CodeBadFrame  uint8 = 10
 	CodeInternal  uint8 = 11
 	// CodeFenced: the release/resume named a lease that was fenced off —
-	// a newer lease has been granted on the resource since (wire v2).
+	// a newer lease has been granted on the resource since.
 	CodeFenced uint8 = 12
 	// CodeDraining: the server is draining for shutdown and refuses new
-	// acquires; the retry-after hint says when to try elsewhere (wire v2).
+	// acquires; the retry-after hint says when to try elsewhere.
 	CodeDraining uint8 = 13
 )
 
@@ -119,8 +110,8 @@ func wireErrf(format string, args ...any) error {
 
 // Request is one decoded client frame.
 type Request struct {
-	// Version is the frame's wire version; 0 encodes as v1 so existing
-	// construction sites are unchanged. ReadRequest always sets it.
+	// Version is the frame's version byte; 0 encodes as WireVersion2.
+	// ReadRequest always sets it.
 	Version  uint8
 	Op       uint8
 	Resource string
@@ -129,14 +120,14 @@ type Request struct {
 	MaxWait  time.Duration // OpAcquire; millisecond granularity
 	Wait     bool          // OpAcquire
 	Token    uint64        // OpRelease, OpResume
-	// Fence is the lease's fencing token (v2+ OpRelease, OpResume).
+	// Fence is the lease's fencing token (OpRelease, OpResume).
 	Fence uint64
 	// Deadline is the client's absolute per-op deadline, UnixNano
-	// (v2+ OpAcquire; 0 = none).
+	// (OpAcquire; 0 = none).
 	Deadline int64
-	// ID is the pipelining request ID (wire v3 only); the response to
-	// this request echoes it. 0 is a legal ID (the lock-step clients use
-	// it), but pipelined clients assign IDs from 1 upward.
+	// ID is the pipelining request ID (WireVersion3 only); the response
+	// to this request echoes it. Pipelined clients assign IDs from 1
+	// upward.
 	ID uint64
 }
 
@@ -148,22 +139,30 @@ type Response struct {
 	Op       uint8
 	Token    uint64 // OpGranted
 	Deadline int64  // OpGranted; UnixNano
-	Fence    uint64 // OpGranted (v2+)
+	Fence    uint64 // OpGranted
 	Code     uint8  // OpError
 	Msg      string // OpError
 	// RetryAfter is the server's back-off hint on shed-class errors
-	// (v2+ OpError; millisecond granularity, 0 = none).
+	// (OpError; millisecond granularity, 0 = none).
 	RetryAfter time.Duration
-	// ID echoes the request's pipelining ID (wire v3 only).
+	// ID echoes the request's pipelining ID (WireVersion3 only).
 	ID uint64
 }
 
-// version resolves the 0-means-v1 default.
-func frameVersion(v uint8) uint8 {
-	if v == 0 {
-		return WireVersion
+// beginFrame appends the header (its length field is patched by
+// finishFrame) and, in the WireVersion3 layout, the request ID. An ID
+// the layout cannot carry is an encoding error, not silent truncation.
+func beginFrame(b []byte, version, op uint8, id uint64) ([]byte, error) {
+	switch version {
+	case 0, WireVersion2:
+		if id != 0 {
+			return nil, wireErrf("request id requires wire v3")
+		}
+		return append(b, WireVersion2, op, 0, 0), nil
+	case WireVersion3:
+		return binary.BigEndian.AppendUint64(append(b, WireVersion3, op, 0, 0), id), nil
 	}
-	return v
+	return nil, wireErrf("unknown wire version %d", version)
 }
 
 // appendString encodes a u16-length-prefixed string.
@@ -202,18 +201,10 @@ func durMS(d time.Duration) uint32 {
 	return uint32(ms)
 }
 
-// AppendRequest encodes a request frame onto b. The frame's version is
-// req.Version (0 = v1); fields a version does not carry are an encoding
-// error, not silent truncation. The encode is allocation-free when b has
-// capacity: fields append in place and the length is patched afterward.
+// AppendRequest encodes a request frame onto b in the layout
+// req.Version names. The encode is allocation-free when b has capacity:
+// fields append in place and the length is patched afterward.
 func AppendRequest(b []byte, req Request) ([]byte, error) {
-	v := frameVersion(req.Version)
-	if v != WireVersion && v != WireVersion2 && v != WireVersion3 {
-		return nil, wireErrf("unknown request version %d", v)
-	}
-	if req.ID != 0 && v != WireVersion3 {
-		return nil, wireErrf("request id requires wire v3")
-	}
 	if len(req.Resource) > MaxResourceLen {
 		return nil, wireErrf("resource length %d exceeds %d", len(req.Resource), MaxResourceLen)
 	}
@@ -221,12 +212,15 @@ func AppendRequest(b []byte, req Request) ([]byte, error) {
 		return nil, wireErrf("owner length %d exceeds %d", len(req.Owner), MaxOwnerLen)
 	}
 	start := len(b)
-	b = append(b, v, req.Op, 0, 0)
-	if v == WireVersion3 {
-		b = binary.BigEndian.AppendUint64(b, req.ID)
+	b, err := beginFrame(b, req.Version, req.Op, req.ID)
+	if err != nil {
+		return nil, err
 	}
 	switch req.Op {
 	case OpAcquire:
+		if req.Deadline < 0 {
+			return nil, wireErrf("negative acquire deadline %d", req.Deadline)
+		}
 		b = appendString(b, req.Resource)
 		b = appendString(b, req.Owner)
 		b = binary.BigEndian.AppendUint32(b, durMS(req.TTL))
@@ -236,26 +230,8 @@ func AppendRequest(b []byte, req Request) ([]byte, error) {
 			flags |= 1
 		}
 		b = append(b, flags)
-		if v >= WireVersion2 {
-			if req.Deadline < 0 {
-				return nil, wireErrf("negative acquire deadline %d", req.Deadline)
-			}
-			b = binary.BigEndian.AppendUint64(b, uint64(req.Deadline))
-		} else if req.Deadline != 0 {
-			return nil, wireErrf("acquire deadline requires wire v2")
-		}
-	case OpRelease:
-		b = appendString(b, req.Resource)
-		b = binary.BigEndian.AppendUint64(b, req.Token)
-		if v >= WireVersion2 {
-			b = binary.BigEndian.AppendUint64(b, req.Fence)
-		} else if req.Fence != 0 {
-			return nil, wireErrf("release fence requires wire v2")
-		}
-	case OpResume:
-		if v < WireVersion2 {
-			return nil, wireErrf("resume requires wire v2")
-		}
+		b = binary.BigEndian.AppendUint64(b, uint64(req.Deadline))
+	case OpRelease, OpResume:
 		b = appendString(b, req.Resource)
 		b = binary.BigEndian.AppendUint64(b, req.Token)
 		b = binary.BigEndian.AppendUint64(b, req.Fence)
@@ -269,27 +245,16 @@ func AppendRequest(b []byte, req Request) ([]byte, error) {
 // AppendResponse encodes a response frame onto b, allocation-free when b
 // has capacity.
 func AppendResponse(b []byte, resp Response) ([]byte, error) {
-	v := frameVersion(resp.Version)
-	if v != WireVersion && v != WireVersion2 && v != WireVersion3 {
-		return nil, wireErrf("unknown response version %d", v)
-	}
-	if resp.ID != 0 && v != WireVersion3 {
-		return nil, wireErrf("response id requires wire v3")
-	}
 	start := len(b)
-	b = append(b, v, resp.Op, 0, 0)
-	if v == WireVersion3 {
-		b = binary.BigEndian.AppendUint64(b, resp.ID)
+	b, err := beginFrame(b, resp.Version, resp.Op, resp.ID)
+	if err != nil {
+		return nil, err
 	}
 	switch resp.Op {
 	case OpGranted:
 		b = binary.BigEndian.AppendUint64(b, resp.Token)
 		b = binary.BigEndian.AppendUint64(b, uint64(resp.Deadline))
-		if v >= WireVersion2 {
-			b = binary.BigEndian.AppendUint64(b, resp.Fence)
-		} else if resp.Fence != 0 {
-			return nil, wireErrf("granted fence requires wire v2")
-		}
+		b = binary.BigEndian.AppendUint64(b, resp.Fence)
 	case OpOK:
 	case OpError:
 		msg := resp.Msg
@@ -298,11 +263,7 @@ func AppendResponse(b []byte, resp Response) ([]byte, error) {
 		}
 		b = append(b, resp.Code)
 		b = appendString(b, msg)
-		if v >= WireVersion2 {
-			b = binary.BigEndian.AppendUint32(b, durMS(resp.RetryAfter))
-		} else if resp.RetryAfter != 0 {
-			return nil, wireErrf("retry-after hint requires wire v2")
-		}
+		b = binary.BigEndian.AppendUint32(b, durMS(resp.RetryAfter))
 	default:
 		return nil, wireErrf("unknown response op %d", resp.Op)
 	}
@@ -372,7 +333,7 @@ func (d *Decoder) readFrame(r io.Reader) (version, op uint8, payload []byte, err
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, 0, nil, err // io.EOF between frames is a clean close
 	}
-	if hdr[0] < WireVersion || hdr[0] > WireVersion3 {
+	if hdr[0] != WireVersion2 && hdr[0] != WireVersion3 {
 		return 0, 0, nil, wireErrf("unknown protocol version %d", hdr[0])
 	}
 	version, op = hdr[0], hdr[1]
@@ -399,7 +360,7 @@ func takeU64(b []byte) (uint64, []byte) {
 	return binary.BigEndian.Uint64(b), b[8:]
 }
 
-// takeID strips the v3 request-ID prefix; other versions carry none.
+// takeID strips the request-ID prefix a WireVersion3 payload starts with.
 func takeID(version uint8, payload []byte) (uint64, []byte, error) {
 	if version != WireVersion3 {
 		return 0, payload, nil
@@ -434,12 +395,8 @@ func (d *Decoder) ReadRequest(r io.Reader) (Request, error) {
 		if err != nil {
 			return Request{}, err
 		}
-		want := 9
-		if version >= WireVersion2 {
-			want = 17
-		}
-		if len(payload) != want {
-			return Request{}, wireErrf("acquire payload has %d trailing bytes, want %d", len(payload), want)
+		if len(payload) != 17 {
+			return Request{}, wireErrf("acquire payload has %d trailing bytes, want 17", len(payload))
 		}
 		req.TTL = time.Duration(binary.BigEndian.Uint32(payload)) * time.Millisecond
 		req.MaxWait = time.Duration(binary.BigEndian.Uint32(payload[4:])) * time.Millisecond
@@ -448,38 +405,27 @@ func (d *Decoder) ReadRequest(r io.Reader) (Request, error) {
 			return Request{}, wireErrf("unknown acquire flags %#x", flags)
 		}
 		req.Wait = flags&1 != 0
-		if version >= WireVersion2 {
-			dl := binary.BigEndian.Uint64(payload[9:])
-			if dl > uint64(1)<<63-1 {
-				return Request{}, wireErrf("acquire deadline %#x out of range", dl)
-			}
-			req.Deadline = int64(dl)
+		dl := binary.BigEndian.Uint64(payload[9:])
+		if dl > uint64(1)<<63-1 {
+			return Request{}, wireErrf("acquire deadline %#x out of range", dl)
 		}
+		req.Deadline = int64(dl)
 		if len(res) == 0 {
 			return Request{}, wireErrf("empty resource")
 		}
 		req.Resource = d.intern(res)
 		req.Owner = d.intern(owner)
 	case OpRelease, OpResume:
-		if op == OpResume && version < WireVersion2 {
-			return Request{}, wireErrf("resume requires wire v2")
-		}
 		var res []byte
 		res, payload, err = takeBytes(payload, MaxResourceLen, "resource")
 		if err != nil {
 			return Request{}, err
 		}
-		want := 8
-		if version >= WireVersion2 {
-			want = 16
-		}
-		if len(payload) != want {
-			return Request{}, wireErrf("%s payload has %d trailing bytes, want %d", opName(op), len(payload), want)
+		if len(payload) != 16 {
+			return Request{}, wireErrf("%s payload has %d trailing bytes, want 16", opName(op), len(payload))
 		}
 		req.Token, payload = takeU64(payload)
-		if version >= WireVersion2 {
-			req.Fence, _ = takeU64(payload)
-		}
+		req.Fence, _ = takeU64(payload)
 		if len(res) == 0 {
 			return Request{}, wireErrf("empty resource")
 		}
@@ -520,18 +466,12 @@ func (d *Decoder) ReadResponse(r io.Reader) (Response, error) {
 	}
 	switch op {
 	case OpGranted:
-		want := 16
-		if version >= WireVersion2 {
-			want = 24
-		}
-		if len(payload) != want {
-			return Response{}, wireErrf("granted payload has %d bytes, want %d", len(payload), want)
+		if len(payload) != 24 {
+			return Response{}, wireErrf("granted payload has %d bytes, want 24", len(payload))
 		}
 		resp.Token = binary.BigEndian.Uint64(payload)
 		resp.Deadline = int64(binary.BigEndian.Uint64(payload[8:]))
-		if version >= WireVersion2 {
-			resp.Fence = binary.BigEndian.Uint64(payload[16:])
-		}
+		resp.Fence = binary.BigEndian.Uint64(payload[16:])
 	case OpOK:
 		if len(payload) != 0 {
 			return Response{}, wireErrf("ok payload has %d bytes, want 0", len(payload))
@@ -546,33 +486,14 @@ func (d *Decoder) ReadResponse(r io.Reader) (Response, error) {
 			return Response{}, err
 		}
 		resp.Msg = string(msg)
-		if version >= WireVersion2 {
-			if len(rest) != 4 {
-				return Response{}, wireErrf("error payload has %d trailing bytes, want 4", len(rest))
-			}
-			resp.RetryAfter = time.Duration(binary.BigEndian.Uint32(rest)) * time.Millisecond
-		} else if len(rest) != 0 {
-			return Response{}, wireErrf("error payload has %d trailing bytes", len(rest))
+		if len(rest) != 4 {
+			return Response{}, wireErrf("error payload has %d trailing bytes, want 4", len(rest))
 		}
+		resp.RetryAfter = time.Duration(binary.BigEndian.Uint32(rest)) * time.Millisecond
 	default:
 		return Response{}, wireErrf("unknown response op %d", op)
 	}
 	return resp, nil
-}
-
-// ReadRequest decodes one request frame from r with a throwaway decoder;
-// long-lived connections should hold a Decoder instead (zero-alloc
-// steady state).
-func ReadRequest(r io.Reader) (Request, error) {
-	var d Decoder
-	return d.ReadRequest(r)
-}
-
-// ReadResponse decodes one response frame from r with a throwaway
-// decoder; long-lived connections should hold a Decoder instead.
-func ReadResponse(r io.Reader) (Response, error) {
-	var d Decoder
-	return d.ReadResponse(r)
 }
 
 // errorCode maps a typed service error to its wire code.
@@ -615,7 +536,7 @@ func shedClass(code uint8) bool {
 }
 
 // codeError maps a decoded error response back to the typed service
-// error; the client side of errorCode. A v2 retry-after hint is wrapped
+// error; the client side of errorCode. A retry-after hint is wrapped
 // around the sentinel (see RetryAfterHint).
 func codeError(resp Response) error {
 	var err error

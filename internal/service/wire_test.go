@@ -10,18 +10,14 @@ import (
 
 func TestRequestRoundTrip(t *testing.T) {
 	reqs := []Request{
-		// v1 (Version 0 encodes as v1; the decoder reports 1).
-		{Version: 1, Op: OpAcquire, Resource: "db", Owner: "alice", TTL: 5 * time.Second, MaxWait: 250 * time.Millisecond, Wait: true},
-		{Version: 1, Op: OpAcquire, Resource: "r", Owner: "", TTL: 0, MaxWait: 0, Wait: false},
-		{Version: 1, Op: OpRelease, Resource: "db", Token: 0xdeadbeefcafe},
-		{Version: 1, Op: OpPing},
-		// v2: deadline propagation, fencing tokens, resume.
+		// Without a request ID (the decoder reports version 2).
 		{Version: 2, Op: OpAcquire, Resource: "db", Owner: "alice", TTL: time.Second, MaxWait: 50 * time.Millisecond, Wait: true, Deadline: 1755550000000000000},
-		{Version: 2, Op: OpAcquire, Resource: "r", Owner: "o", TTL: time.Second},
+		{Version: 2, Op: OpAcquire, Resource: "r", Owner: "", TTL: 0, MaxWait: 0, Wait: false},
 		{Version: 2, Op: OpRelease, Resource: "db", Token: 7, Fence: 3},
+		{Version: 2, Op: OpRelease, Resource: "db", Token: 0xdeadbeefcafe},
 		{Version: 2, Op: OpResume, Resource: "db", Token: 7, Fence: 3},
 		{Version: 2, Op: OpPing},
-		// v3: pipelining request IDs prefixed onto the v2 body shapes.
+		// With one: the same bodies behind the ID.
 		{Version: 3, Op: OpAcquire, Resource: "db", Owner: "alice", TTL: time.Second, MaxWait: 50 * time.Millisecond, Wait: true, Deadline: 1755550000000000000, ID: 1},
 		{Version: 3, Op: OpAcquire, Resource: "r", Owner: "o", TTL: time.Second, ID: 0xffffffffffffffff},
 		{Version: 3, Op: OpRelease, Resource: "db", Token: 7, Fence: 3, ID: 42},
@@ -29,12 +25,13 @@ func TestRequestRoundTrip(t *testing.T) {
 		{Version: 3, Op: OpPing, ID: 44},
 		{Version: 3, Op: OpPing}, // ID 0 is legal
 	}
+	d := NewDecoder()
 	for _, req := range reqs {
 		b, err := AppendRequest(nil, req)
 		if err != nil {
 			t.Fatalf("%+v: %v", req, err)
 		}
-		got, err := ReadRequest(bytes.NewReader(b))
+		got, err := d.ReadRequest(bytes.NewReader(b))
 		if err != nil {
 			t.Fatalf("%+v: %v", req, err)
 		}
@@ -51,9 +48,6 @@ func TestRequestRoundTrip(t *testing.T) {
 
 func TestResponseRoundTrip(t *testing.T) {
 	resps := []Response{
-		{Version: 1, Op: OpGranted, Token: 42, Deadline: 123456789},
-		{Version: 1, Op: OpOK},
-		{Version: 1, Op: OpError, Code: CodeQueueFull, Msg: "queue full"},
 		{Version: 2, Op: OpGranted, Token: 42, Deadline: 123456789, Fence: 9},
 		{Version: 2, Op: OpOK},
 		{Version: 2, Op: OpError, Code: CodeShed, Msg: "shed", RetryAfter: 2 * time.Millisecond},
@@ -62,12 +56,13 @@ func TestResponseRoundTrip(t *testing.T) {
 		{Version: 3, Op: OpOK, ID: 8},
 		{Version: 3, Op: OpError, Code: CodeShed, Msg: "shed", RetryAfter: 2 * time.Millisecond, ID: 9},
 	}
+	d := NewDecoder()
 	for _, resp := range resps {
 		b, err := AppendResponse(nil, resp)
 		if err != nil {
 			t.Fatalf("%+v: %v", resp, err)
 		}
-		got, err := ReadResponse(bytes.NewReader(b))
+		got, err := d.ReadResponse(bytes.NewReader(b))
 		if err != nil {
 			t.Fatalf("%+v: %v", resp, err)
 		}
@@ -89,73 +84,55 @@ func TestRequestEncodeBounds(t *testing.T) {
 	if _, err := AppendRequest(nil, Request{Op: 99}); err == nil {
 		t.Fatal("unknown op accepted")
 	}
-	// v2-only constructs must not encode into a v1 frame.
-	if _, err := AppendRequest(nil, Request{Version: 1, Op: OpResume, Resource: "r", Token: 1}); err == nil {
-		t.Fatal("v1 resume accepted")
+	// Retired and unknown version bytes do not encode.
+	for _, v := range []uint8{1, 4} {
+		if _, err := AppendRequest(nil, Request{Version: v, Op: OpPing}); err == nil {
+			t.Fatalf("request version %d accepted", v)
+		}
+		if _, err := AppendResponse(nil, Response{Version: v, Op: OpOK}); err == nil {
+			t.Fatalf("response version %d accepted", v)
+		}
 	}
-	if _, err := AppendRequest(nil, Request{Version: 1, Op: OpRelease, Resource: "r", Token: 1, Fence: 2}); err == nil {
-		t.Fatal("v1 fenced release accepted")
+	// A zero version encodes as WireVersion2.
+	if b, err := AppendRequest(nil, Request{Op: OpPing}); err != nil || b[0] != WireVersion2 {
+		t.Fatalf("zero version encoded as %x, %v", b, err)
 	}
-	if _, err := AppendRequest(nil, Request{Version: 1, Op: OpAcquire, Resource: "r", Deadline: 5}); err == nil {
-		t.Fatal("v1 acquire with deadline accepted")
-	}
-	if _, err := AppendResponse(nil, Response{Version: 1, Op: OpGranted, Token: 1, Fence: 2}); err == nil {
-		t.Fatal("v1 granted with fence accepted")
-	}
-	if _, err := AppendResponse(nil, Response{Version: 1, Op: OpError, Code: CodeShed, RetryAfter: time.Millisecond}); err == nil {
-		t.Fatal("v1 error with retry-after accepted")
-	}
-	// Request IDs are a v3 construct.
+	// Request IDs need the layout that carries them.
 	if _, err := AppendRequest(nil, Request{Version: 2, Op: OpPing, ID: 1}); err == nil {
 		t.Fatal("v2 request with id accepted")
 	}
-	if _, err := AppendResponse(nil, Response{Version: 1, Op: OpOK, ID: 1}); err == nil {
-		t.Fatal("v1 response with id accepted")
+	if _, err := AppendResponse(nil, Response{Op: OpOK, ID: 1}); err == nil {
+		t.Fatal("v2 response with id accepted")
 	}
 }
 
 func TestMalformedFrames(t *testing.T) {
 	cases := map[string][]byte{
 		"bad version":       {9, OpPing, 0, 0},
+		"retired version":   {1, OpPing, 0, 0},
 		"v3 truncated id":   {3, OpPing, 0, 4, 0, 0, 0, 1}, // v3 payload shorter than the 8-byte ID prefix
-		"oversized payload": {1, OpAcquire, 0xff, 0xff},
-		"unknown op":        {1, 77, 0, 0},
-		"ping with payload": {1, OpPing, 0, 1, 0},
-		"empty resource": func() []byte {
-			// Hand-built release frame naming a zero-length resource.
-			return []byte{1, OpRelease, 0, 10, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
-		}(),
+		"oversized payload": {2, OpAcquire, 0xff, 0xff},
+		"unknown op":        {2, 77, 0, 0},
+		"ping with payload": {2, OpPing, 0, 1, 0},
+		// Hand-built release frame naming a zero-length resource.
+		"empty resource": append([]byte{2, OpRelease, 0, 18}, make([]byte, 18)...),
 		"acquire bad flags": func() []byte {
 			b, _ := AppendRequest(nil, Request{Op: OpAcquire, Resource: "r", Wait: true})
-			b[len(b)-1] = 0xff
+			b[len(b)-9] = 0xff // the flags byte sits ahead of the 8-byte deadline
 			return b
 		}(),
-		"truncated string": {1, OpRelease, 0, 3, 0, 9, 'r'},
-		// Cross-version shapes: each version's trailing lengths are exact,
-		// so a v1 body inside a v2 frame (and vice versa) must reject.
-		"v2 frame, v1 acquire body": func() []byte {
+		"truncated string": {2, OpRelease, 0, 3, 0, 9, 'r'},
+		// Trailing lengths are exact: a body short of a field must reject.
+		"acquire missing deadline": func() []byte {
 			b, _ := AppendRequest(nil, Request{Op: OpAcquire, Resource: "r", Owner: "o", TTL: time.Second})
-			b[0] = 2
+			b = b[:len(b)-8]
+			b[3] -= 8
 			return b
 		}(),
-		"v1 frame, v2 acquire body": func() []byte {
-			b, _ := AppendRequest(nil, Request{Version: 2, Op: OpAcquire, Resource: "r", Owner: "o", TTL: time.Second})
-			b[0] = 1
-			return b
-		}(),
-		"v1 frame, resume op": func() []byte {
-			b, _ := AppendRequest(nil, Request{Version: 2, Op: OpResume, Resource: "r", Token: 1})
-			b[0] = 1
-			return b
-		}(),
-		"v1 frame, v2 release body": func() []byte {
-			b, _ := AppendRequest(nil, Request{Version: 2, Op: OpRelease, Resource: "r", Token: 1, Fence: 2})
-			b[0] = 1
-			return b
-		}(),
-		"v2 release missing fence": func() []byte {
+		"release missing fence": func() []byte {
 			b, _ := AppendRequest(nil, Request{Op: OpRelease, Resource: "r", Token: 1})
-			b[0] = 2
+			b = b[:len(b)-8]
+			b[3] -= 8
 			return b
 		}(),
 		// A v2 body inside a v3 frame would eat the body's first 8 bytes
@@ -171,21 +148,22 @@ func TestMalformedFrames(t *testing.T) {
 			return b
 		}(),
 	}
+	d := NewDecoder()
 	for name, frame := range cases {
-		_, err := ReadRequest(bytes.NewReader(frame))
+		_, err := d.ReadRequest(bytes.NewReader(frame))
 		var we *WireError
 		if !errors.As(err, &we) {
 			t.Errorf("%s: err = %v, want *WireError", name, err)
 		}
 	}
 	// Clean EOF at a frame boundary passes through untyped.
-	if _, err := ReadRequest(bytes.NewReader(nil)); err != io.EOF {
+	if _, err := d.ReadRequest(bytes.NewReader(nil)); err != io.EOF {
 		t.Fatalf("empty stream: %v, want io.EOF", err)
 	}
 	// A mid-payload cut is a transport fault, not a protocol violation:
 	// it must classify retryable, not *WireError.
 	full, _ := AppendRequest(nil, Request{Op: OpRelease, Resource: "res", Token: 1})
-	_, err := ReadRequest(bytes.NewReader(full[:len(full)-2]))
+	_, err := d.ReadRequest(bytes.NewReader(full[:len(full)-2]))
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("truncated payload: %v, want io.ErrUnexpectedEOF", err)
 	}
@@ -276,8 +254,8 @@ func TestDecoderStream(t *testing.T) {
 	}
 }
 
-// FuzzServiceWire fuzzes both directions of the codec across both wire
-// versions. For any byte stream the decoder must (a) never panic, (b)
+// FuzzServiceWire fuzzes both directions of the codec, with and without
+// request IDs. For any byte stream the decoder must (a) never panic, (b)
 // either parse a frame and re-encode it byte-identically from the
 // consumed prefix, or (c) reject typed: a *WireError for protocol
 // violations, io.EOF for a clean close at a frame boundary, or a
@@ -289,29 +267,20 @@ func FuzzServiceWire(f *testing.F) {
 		}
 		return b
 	}
-	f.Add(seed(AppendRequest(nil, Request{Op: OpAcquire, Resource: "db", Owner: "alice", TTL: time.Second, MaxWait: 50 * time.Millisecond, Wait: true})))
-	f.Add(seed(AppendRequest(nil, Request{Op: OpRelease, Resource: "db", Token: 7})))
-	f.Add(seed(AppendRequest(nil, Request{Op: OpPing})))
-	f.Add(seed(AppendResponse(nil, Response{Op: OpGranted, Token: 1, Deadline: 99})))
+	f.Add(seed(AppendRequest(nil, Request{Op: OpAcquire, Resource: "db", Owner: "alice", TTL: time.Second, MaxWait: 50 * time.Millisecond, Wait: true, Deadline: 1755550000000000000})))
+	f.Add(seed(AppendRequest(nil, Request{Op: OpRelease, Resource: "db", Token: 7, Fence: 3})))
+	f.Add(seed(AppendRequest(nil, Request{Op: OpResume, Resource: "db", Token: 7, Fence: 3})))
+	f.Add(seed(AppendResponse(nil, Response{Op: OpGranted, Token: 1, Deadline: 99, Fence: 4})))
 	f.Add(seed(AppendResponse(nil, Response{Op: OpOK})))
-	f.Add(seed(AppendResponse(nil, Response{Op: OpError, Code: CodeShed, Msg: "shed"})))
-	// Wire v2 frames.
-	f.Add(seed(AppendRequest(nil, Request{Version: 2, Op: OpAcquire, Resource: "db", Owner: "alice", TTL: time.Second, MaxWait: 50 * time.Millisecond, Wait: true, Deadline: 1755550000000000000})))
-	f.Add(seed(AppendRequest(nil, Request{Version: 2, Op: OpRelease, Resource: "db", Token: 7, Fence: 3})))
-	f.Add(seed(AppendRequest(nil, Request{Version: 2, Op: OpResume, Resource: "db", Token: 7, Fence: 3})))
-	f.Add(seed(AppendResponse(nil, Response{Version: 2, Op: OpGranted, Token: 1, Deadline: 99, Fence: 4})))
-	f.Add(seed(AppendResponse(nil, Response{Version: 2, Op: OpError, Code: CodeDraining, Msg: "draining", RetryAfter: 2 * time.Millisecond})))
-	// Cross-version seeds: a valid body under the wrong version byte.
+	f.Add(seed(AppendResponse(nil, Response{Op: OpError, Code: CodeDraining, Msg: "draining", RetryAfter: 2 * time.Millisecond})))
+	// Cross-layout seeds: a valid body under the other version byte.
 	cross := func(req Request, v byte) []byte {
 		b := seed(AppendRequest(nil, req))
 		b[0] = v
 		return b
 	}
-	f.Add(cross(Request{Op: OpAcquire, Resource: "r", Owner: "o", TTL: time.Second}, 2))
-	f.Add(cross(Request{Version: 2, Op: OpAcquire, Resource: "r", Owner: "o", TTL: time.Second}, 1))
-	f.Add(cross(Request{Version: 2, Op: OpResume, Resource: "r", Token: 1}, 1))
 	f.Add(seed(AppendRequest(nil, Request{Version: 2, Op: OpPing})))
-	// Wire v3 frames: pipelined request IDs.
+	// Frames with request IDs.
 	f.Add(seed(AppendRequest(nil, Request{Version: 3, Op: OpAcquire, Resource: "db", Owner: "alice", TTL: time.Second, Wait: true, ID: 1})))
 	f.Add(seed(AppendRequest(nil, Request{Version: 3, Op: OpRelease, Resource: "db", Token: 7, Fence: 3, ID: 2})))
 	f.Add(seed(AppendRequest(nil, Request{Version: 3, Op: OpResume, Resource: "db", Token: 7, Fence: 3, ID: 3})))
@@ -341,14 +310,15 @@ func FuzzServiceWire(f *testing.F) {
 		seed(AppendResponse(nil, Response{Version: 3, Op: OpGranted, Token: 6, Deadline: 9, Fence: 2, ID: 1})),
 	))
 	f.Add([]byte{9, 1, 0, 0})             // bad version
-	f.Add([]byte{1, 1, 0xff, 0xff})       // oversized
-	f.Add([]byte{1, 3, 0, 0, 1, 3, 0})    // ping then truncated frame
-	f.Add([]byte{2, 3, 0, 0, 2, 1, 0})    // v2 ping then truncated frame
+	f.Add([]byte{1, 3, 0, 0})             // retired version
+	f.Add([]byte{2, 1, 0xff, 0xff})       // oversized
+	f.Add([]byte{2, 3, 0, 0, 2, 1, 0})    // ping then truncated frame
 	f.Add([]byte{3, 3, 0, 4, 0, 0, 0, 1}) // v3 payload shorter than its ID prefix
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		d := NewDecoder()
 		r := bytes.NewReader(data)
-		req, err := ReadRequest(r)
+		req, err := d.ReadRequest(r)
 		if err == nil {
 			consumed := data[:len(data)-r.Len()]
 			enc, err := AppendRequest(nil, req)
@@ -363,7 +333,7 @@ func FuzzServiceWire(f *testing.F) {
 		}
 
 		r = bytes.NewReader(data)
-		resp, err := ReadResponse(r)
+		resp, err := d.ReadResponse(r)
 		if err == nil {
 			consumed := data[:len(data)-r.Len()]
 			enc, err := AppendResponse(nil, resp)

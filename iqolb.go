@@ -249,48 +249,6 @@ func Assemble(src string) (*Program, error) { return isa.Assemble(src) }
 // NewBuilder starts a programmatic program builder.
 func NewBuilder() *Builder { return isa.NewBuilder() }
 
-// Experiment describes one benchmark run.
-//
-// Deprecated: Experiment predates Spec and describes a strict subset of
-// it. Build a Spec instead (Experiment.Spec converts) — Spec is the one
-// canonical config struct shared by RunSpec, the harness, and the CLIs,
-// and it carries the options Experiment lacks (policy overrides,
-// kernels, tracing).
-type Experiment struct {
-	// Benchmark names a Table 2 benchmark or microbenchmark.
-	Benchmark string
-	// System selects the primitive/hardware pairing.
-	System System
-	// Processors is the machine size (the paper evaluates 32).
-	Processors int
-	// ScaleFactor > 1 shrinks the workload proportionally for quick runs.
-	ScaleFactor int
-	// Check runs the experiment under the internal/check
-	// protocol-invariant monitors; any violation fails the run.
-	Check bool
-}
-
-// Spec converts the experiment to the equivalent canonical Spec.
-func (e Experiment) Spec() Spec {
-	scale := e.ScaleFactor
-	if scale < 1 {
-		scale = 1
-	}
-	return Spec{
-		Bench: e.Benchmark, System: e.System.Name,
-		Procs: e.Processors, Scale: scale, Check: e.Check,
-	}
-}
-
-// Run executes the experiment, verifying the workload's mutual-exclusion
-// counters before returning measurements.
-//
-// Deprecated: Use RunSpec (Run is now a thin shim over it via
-// Experiment.Spec).
-func Run(e Experiment) (Result, error) {
-	return RunSpec(e.Spec())
-}
-
 // RunParams executes a custom synchronization signature under a system.
 func RunParams(name string, p WorkloadParams, sys System, procs int) (Result, error) {
 	return experiments.RunParams(name, p, sys, procs, nil)

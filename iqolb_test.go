@@ -8,8 +8,8 @@ import (
 )
 
 func TestRunQuick(t *testing.T) {
-	res, err := iqolb.Run(iqolb.Experiment{
-		Benchmark: "hotlock", System: iqolb.SystemIQOLB, Processors: 4, ScaleFactor: 16,
+	res, err := iqolb.RunSpec(iqolb.Spec{
+		Bench: "hotlock", System: iqolb.SystemIQOLB.Name, Procs: 4, Scale: 16,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -25,11 +25,6 @@ func newAdaptive(c config) *Adaptive {
 	return &Adaptive{tun: c.tun, instr: instr{h: c.hooks}}
 }
 
-// NewAdaptive builds an adaptive spin-then-queue lock.
-//
-// Deprecated: use New(KindAdaptive, opts...) — the registry constructor.
-func NewAdaptive(opts ...Option) *Adaptive { return newAdaptive(buildConfig(opts)) }
-
 // Name implements Lock.
 func (l *Adaptive) Name() string { return string(KindAdaptive) }
 

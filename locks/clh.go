@@ -37,11 +37,6 @@ func newCLH(c config) *CLH {
 	return l
 }
 
-// NewCLH builds a CLH lock.
-//
-// Deprecated: use New(KindCLH, opts...) — the registry constructor.
-func NewCLH(opts ...Option) *CLH { return newCLH(buildConfig(opts)) }
-
 // Name implements Lock.
 func (l *CLH) Name() string { return string(KindCLH) }
 

@@ -21,8 +21,6 @@
 // Primitives are built through a named registry: locks.New(kind, opts...)
 // constructs any registered kind, locks.Kinds() enumerates them in
 // registration order, and locks.Register adds new ones (see registry.go).
-// The per-kind constructors (NewTTS, NewMCS, ...) remain as deprecated
-// shims over the registry.
 //
 // Every lock takes optional instrumentation hooks feeding internal/stats
 // histograms, and optional *Tuning — the inserted-delay parameters

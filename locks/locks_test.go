@@ -80,12 +80,25 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
+// mustNew builds a registered kind or fails the test.
+func mustNew(t *testing.T, k Kind, opts ...Option) Lock {
+	t.Helper()
+	l, err := New(k, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
 // TestRegisterCustomKind exercises the open half of the registry: a
 // registered kind constructs through New, enumerates through Kinds, and
 // duplicate registration panics.
 func TestRegisterCustomKind(t *testing.T) {
 	const kind = Kind("test-custom")
-	Register(kind, func(opts ...Option) Lock { return NewTTS(opts...) })
+	// The factory outlives this test in the registry, so it must not
+	// capture t.
+	viaTTS := func(opts ...Option) Lock { l, _ := New(KindTTS, opts...); return l }
+	Register(kind, viaTTS)
 	l, err := New(kind)
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +119,7 @@ func TestRegisterCustomKind(t *testing.T) {
 			t.Fatal("duplicate Register did not panic")
 		}
 	}()
-	Register(kind, func(opts ...Option) Lock { return NewTTS(opts...) })
+	Register(kind, viaTTS)
 }
 
 // TestTuningOnline verifies that a Tuning store is observed by later
@@ -293,7 +306,7 @@ func TestNoLostWakeup(t *testing.T) {
 // test can finish.
 func TestTicketOversubscribedNoLivelock(t *testing.T) {
 	withProcs(1, func() {
-		l := NewTicket()
+		l := mustNew(t, KindTicket)
 		const goroutines, opsPerG = 16, 200
 		var counter uint64
 		runWithTimeout(t, 2*time.Minute, func() {
@@ -322,7 +335,7 @@ func TestTicketOversubscribedNoLivelock(t *testing.T) {
 // observe consecutive values.
 func TestTicketFIFOExact(t *testing.T) {
 	withProcs(4, func() {
-		l := NewTicket()
+		l := mustNew(t, KindTicket).(*Ticket)
 		const goroutines, opsPerG = 8, 400
 		order := make([]uint64, 0, goroutines*opsPerG)
 		var wg sync.WaitGroup
@@ -457,7 +470,7 @@ func TestHooksSerialized(t *testing.T) {
 // histograms that exist.
 func TestHooksNilFields(t *testing.T) {
 	h := &Hooks{Handoff: &stats.Histogram{}}
-	l := NewTTS(WithHooks(h))
+	l := mustNew(t, KindTTS, WithHooks(h))
 	for i := 0; i < 10; i++ {
 		l.Lock()
 		l.Unlock()

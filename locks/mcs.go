@@ -32,11 +32,6 @@ func newMCS(c config) *MCS {
 	return &MCS{instr: instr{h: c.hooks}}
 }
 
-// NewMCS builds an MCS lock.
-//
-// Deprecated: use New(KindMCS, opts...) — the registry constructor.
-func NewMCS(opts ...Option) *MCS { return newMCS(buildConfig(opts)) }
-
 // Name implements Lock.
 func (l *MCS) Name() string { return string(KindMCS) }
 

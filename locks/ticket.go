@@ -22,11 +22,6 @@ func newTicket(c config) *Ticket {
 	return &Ticket{tun: c.tun, instr: instr{h: c.hooks}}
 }
 
-// NewTicket builds a ticket lock.
-//
-// Deprecated: use New(KindTicket, opts...) — the registry constructor.
-func NewTicket(opts ...Option) *Ticket { return newTicket(buildConfig(opts)) }
-
 // Name implements Lock.
 func (l *Ticket) Name() string { return string(KindTicket) }
 

@@ -18,11 +18,6 @@ func newTTS(c config) *TTS {
 	return &TTS{tun: c.tun, instr: instr{h: c.hooks}}
 }
 
-// NewTTS builds a TTS lock.
-//
-// Deprecated: use New(KindTTS, opts...) — the registry constructor.
-func NewTTS(opts ...Option) *TTS { return newTTS(buildConfig(opts)) }
-
 // Name implements Lock.
 func (l *TTS) Name() string { return string(KindTTS) }
 
