@@ -2,8 +2,9 @@
 // resources sharded across native lock primitives (package locks), a
 // bounded admission queue whose backpressure is the serving-layer
 // analogue of the paper's delay insertion, leases with deadlines, and a
-// starvation watchdog that degrades a pathological shard to a plain
-// mutex in shed-load mode.
+// starvation watchdog that puts a pathological shard into shed-load
+// mode (queued waiters flushed, new ones refused, free resources still
+// granted) under the same shard lock.
 //
 //	lockserve -addr 127.0.0.1:7007
 //	lockserve -addr 127.0.0.1:0 -shards 16 -lock mcs -policy handoff

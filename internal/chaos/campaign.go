@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"iqolb/internal/linearize"
@@ -181,32 +180,12 @@ func RunCampaign(cfg CampaignConfig) *Report {
 // Server-boundary history recording.
 // ---------------------------------------------------------------------
 
-type recorder struct {
-	clock atomic.Int64
-	mu    sync.Mutex
-	ops   []linearize.Op
-}
-
-func (rec *recorder) tick() int64 { return rec.clock.Add(1) }
-
-func (rec *recorder) add(client int, call, ret int64, in, out any) {
-	rec.mu.Lock()
-	rec.ops = append(rec.ops, linearize.Op{ClientID: client, Call: call, Ret: ret, Input: in, Output: out})
-	rec.mu.Unlock()
-}
-
-func (rec *recorder) history() []linearize.Op {
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	return append([]linearize.Op(nil), rec.ops...)
-}
-
 // recordingBackend wraps the real service as the server's backend,
 // logging every executed operation — including retried duplicates,
 // which really did execute and really do belong in the history.
 type recordingBackend struct {
 	svc *service.Service
-	rec *recorder
+	rec *service.History
 }
 
 // clientID recovers the campaign's client index from its owner name.
@@ -220,78 +199,40 @@ func clientID(owner string) int {
 }
 
 func (b *recordingBackend) Acquire(res, owner string, opt service.AcquireOptions) (service.Lease, error) {
-	call := b.rec.tick()
+	in := service.LeaseOp{Verb: service.VerbAcquire, Res: res}
+	call := b.rec.Tick()
 	l, err := b.svc.Acquire(res, owner, opt)
-	ret := b.rec.tick()
-	if err != nil {
-		b.rec.add(clientID(owner), call, ret, acqIn{Res: res}, acquireCode(err))
-	} else {
-		b.rec.add(clientID(owner), call, ret, acqIn{Res: res}, l.Token)
-	}
+	b.rec.Add(clientID(owner), call, b.rec.Tick(), in, granted(l, err, service.AcquireCode))
 	return l, err
 }
 
 func (b *recordingBackend) ReleaseFenced(res string, token, fence uint64) error {
-	call := b.rec.tick()
+	in := service.LeaseOp{Verb: service.VerbRelease, Res: res, Token: token}
+	call := b.rec.Tick()
 	err := b.svc.ReleaseFenced(res, token, fence)
-	b.rec.add(-1, call, b.rec.tick(), relIn{Res: res, Token: token}, releaseCode(err))
+	b.rec.Add(-1, call, b.rec.Tick(), in, service.ReleaseCode(err))
 	return err
 }
 
 func (b *recordingBackend) Resume(res string, token, fence uint64) (service.Lease, error) {
-	call := b.rec.tick()
+	in := service.LeaseOp{Verb: service.VerbResume, Res: res, Token: token}
+	call := b.rec.Tick()
 	l, err := b.svc.Resume(res, token, fence)
-	ret := b.rec.tick()
-	if err != nil {
-		b.rec.add(-1, call, ret, resIn{Res: res, Token: token}, releaseCode(err))
-	} else {
-		b.rec.add(-1, call, ret, resIn{Res: res, Token: token}, l.Token)
-	}
+	b.rec.Add(-1, call, b.rec.Tick(), in, granted(l, err, service.ReleaseCode))
 	return l, err
+}
+
+// granted is the model output of an op that returns a lease: its token,
+// or the error's verdict.
+func granted(l service.Lease, err error, code func(error) string) any {
+	if err != nil {
+		return code(err)
+	}
+	return l.Token
 }
 
 func (b *recordingBackend) Drain(grace time.Duration) error { return b.svc.Drain(grace) }
 func (b *recordingBackend) Close() error                    { return b.svc.Close() }
-
-// acquireCode maps a typed acquire error to a model output.
-func acquireCode(err error) string {
-	switch {
-	case errors.Is(err, service.ErrNoWait):
-		return "busy"
-	case errors.Is(err, service.ErrWaitTimeout):
-		return "timeout"
-	case errors.Is(err, service.ErrQueueFull):
-		return "queuefull"
-	case errors.Is(err, service.ErrShed), errors.Is(err, service.ErrDegraded):
-		return "shed"
-	case errors.Is(err, service.ErrDraining):
-		return "draining"
-	case errors.Is(err, service.ErrClosed):
-		return "closed"
-	}
-	return "unknown:" + err.Error()
-}
-
-// releaseCode maps a typed release/resume error to a model output.
-func releaseCode(err error) string {
-	switch {
-	case err == nil:
-		return "ok"
-	case errors.Is(err, service.ErrNotHeld):
-		return "notheld"
-	case errors.Is(err, service.ErrLeaseExpired):
-		return "expired"
-	case errors.Is(err, service.ErrRevoked):
-		return "revoked"
-	case errors.Is(err, service.ErrFenced):
-		return "fenced"
-	case errors.Is(err, service.ErrDraining):
-		return "draining"
-	case errors.Is(err, service.ErrClosed):
-		return "closed"
-	}
-	return "unknown:" + err.Error()
-}
 
 // failureClass buckets a gave-up operation's error for the artifact.
 func failureClass(err error) string {
@@ -325,16 +266,12 @@ func runOne(kindName string, kinds []Kind, seed uint64, cfg CampaignConfig) RunR
 		return out
 	}
 
-	rec := &recorder{}
+	rec := &service.History{}
 	svc, err := service.New(service.Config{
 		Shards:     2,
 		QueueDepth: 32,
 		DefaultTTL: cfg.TTL,
-		OnExpire: func(l service.Lease) {
-			// Expiry linearizes somewhere before the callback; Call=0 is
-			// the sound (maximally wide) lower bound.
-			rec.add(-1, 0, rec.tick(), expIn{Res: l.Resource, Token: l.Token}, nil)
-		},
+		OnExpire:   rec.Expired,
 	})
 	if err != nil {
 		return fail("service: %v", err)
@@ -445,20 +382,16 @@ func runOne(kindName string, kinds []Kind, seed uint64, cfg CampaignConfig) RunR
 
 	// Graceful drain, then the invariants.
 	srv.Drain(cfg.DrainGrace)
-	snap := svc.Snapshot()
-	t := snap.Totals
-	if got, want := t.Grants, t.Releases+t.Expiries+t.Revocations+uint64(snap.LiveLeases); got != want {
-		out.Conservation = fmt.Sprintf(
-			"grants=%d != releases=%d + expiries=%d + revocations=%d + live=%d",
-			got, t.Releases, t.Expiries, t.Revocations, snap.LiveLeases)
+	if err := svc.Snapshot().Conserved(); err != nil {
+		out.Conservation = err.Error()
 	}
 
-	history := rec.history()
+	// Split per resource (see service.LeaseModel): each piece must fit
+	// the checker's bound.
 	perRes := make(map[string][]linearize.Op)
-	for _, op := range history {
-		if res := resourceOf(op.Input); res != "" {
-			perRes[res] = append(perRes[res], op)
-		}
+	for _, op := range rec.Ops() {
+		res := op.Input.(service.LeaseOp).Res
+		perRes[res] = append(perRes[res], op)
 	}
 	resNames := make([]string, 0, len(perRes))
 	for res := range perRes {
@@ -466,7 +399,7 @@ func runOne(kindName string, kinds []Kind, seed uint64, cfg CampaignConfig) RunR
 	}
 	sort.Strings(resNames)
 	for _, res := range resNames {
-		if ok, _ := linearize.Check(leaseModel{}, perRes[res]); !ok {
+		if ok, _ := linearize.Check(service.LeaseModel{}, perRes[res]); !ok {
 			out.Linearizable = false
 			failureSet["linearize:"+res] = true
 		}

@@ -160,9 +160,8 @@ func runFaultCampaign(t *testing.T, cc campaignConfig) campaignOutcome {
 	}
 	// Conservation: every grant ends in exactly one of release, expiry,
 	// or revocation — the service-level "leases die exactly once".
-	if snap.Totals.Grants != snap.Totals.Releases+snap.Totals.Expiries+snap.Totals.Revocations {
-		t.Fatalf("lease conservation violated: grants=%d releases=%d expiries=%d revocations=%d",
-			snap.Totals.Grants, snap.Totals.Releases, snap.Totals.Expiries, snap.Totals.Revocations)
+	if err := snap.Conserved(); err != nil {
+		t.Fatalf("lease conservation violated: %v", err)
 	}
 	out := campaignOutcome{
 		expiries: snap.Totals.Expiries,

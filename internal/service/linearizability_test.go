@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,219 +15,24 @@ import (
 	"iqolb/locks"
 )
 
-// ---------------------------------------------------------------------
-// Sequential lease model for the linearizability checker.
-//
-// State: which token (if any) holds each resource, plus the sets of
-// expired and revoked tokens. Tokens are globally unique, so the model
-// never needs generation counters.
-// ---------------------------------------------------------------------
-
-type acqIn struct {
-	Res    string
-	NoWait bool
-}
-
-type relIn struct {
-	Res   string
-	Token uint64
-}
-
-type revIn struct {
-	Res string
-}
-
-type expIn struct {
-	Res   string
-	Token uint64
-}
-
-func (a acqIn) String() string { return fmt.Sprintf("acquire(%s,nowait=%v)", a.Res, a.NoWait) }
-func (r relIn) String() string { return fmt.Sprintf("release(%s,#%d)", r.Res, r.Token) }
-func (r revIn) String() string { return fmt.Sprintf("revoke(%s)", r.Res) }
-func (e expIn) String() string { return fmt.Sprintf("expire(%s,#%d)", e.Res, e.Token) }
-
-type modelState struct {
-	hold    map[string]uint64
-	expired map[uint64]bool
-	revoked map[uint64]bool
-}
-
-func (st modelState) clone() modelState {
-	n := modelState{
-		hold:    make(map[string]uint64, len(st.hold)),
-		expired: make(map[uint64]bool, len(st.expired)),
-		revoked: make(map[uint64]bool, len(st.revoked)),
-	}
-	for k, v := range st.hold {
-		n.hold[k] = v
-	}
-	for k := range st.expired {
-		n.expired[k] = true
-	}
-	for k := range st.revoked {
-		n.revoked[k] = true
-	}
-	return n
-}
-
-type leaseModel struct{}
-
-func (leaseModel) Init() any {
-	return modelState{hold: map[string]uint64{}, expired: map[uint64]bool{}, revoked: map[uint64]bool{}}
-}
-
-func (leaseModel) Step(state any, input, output any) (any, bool) {
-	st := state.(modelState)
-	switch in := input.(type) {
-	case acqIn:
-		switch out := output.(type) {
-		case uint64: // granted
-			if st.hold[in.Res] != 0 {
-				return state, false
-			}
-			n := st.clone()
-			n.hold[in.Res] = out
-			return n, true
-		case string:
-			switch out {
-			case "busy": // ErrNoWait: legal only if the resource is held
-				return state, st.hold[in.Res] != 0
-			case "timeout", "queuefull", "shed", "closed":
-				// Admission refusals and timeouts are legal no-ops: they
-				// depend on queue occupancy and timing, which the
-				// sequential lease model does not track.
-				return state, true
-			}
-		}
-		return state, false
-	case relIn:
-		switch output.(string) {
-		case "ok":
-			if st.hold[in.Res] != in.Token {
-				return state, false
-			}
-			n := st.clone()
-			delete(n.hold, in.Res)
-			return n, true
-		case "notheld":
-			return state, st.hold[in.Res] != in.Token && !st.expired[in.Token] && !st.revoked[in.Token]
-		case "expired":
-			return state, st.expired[in.Token]
-		case "revoked":
-			return state, st.revoked[in.Token]
-		}
-		return state, false
-	case revIn:
-		tok := output.(uint64)
-		if tok == 0 { // nothing to revoke
-			return state, st.hold[in.Res] == 0
-		}
-		if st.hold[in.Res] != tok {
-			return state, false
-		}
-		n := st.clone()
-		delete(n.hold, in.Res)
-		n.revoked[tok] = true
-		return n, true
-	case expIn:
-		if st.hold[in.Res] != in.Token {
-			return state, false
-		}
-		n := st.clone()
-		delete(n.hold, in.Res)
-		n.expired[in.Token] = true
-		return n, true
-	}
-	return state, false
-}
-
-func (leaseModel) Key(state any) string {
-	st := state.(modelState)
-	var parts []string
-	for r, t := range st.hold {
-		parts = append(parts, fmt.Sprintf("h:%s=%d", r, t))
-	}
-	for t := range st.expired {
-		parts = append(parts, fmt.Sprintf("e:%d", t))
-	}
-	for t := range st.revoked {
-		parts = append(parts, fmt.Sprintf("r:%d", t))
-	}
-	sort.Strings(parts)
-	return strings.Join(parts, ",")
-}
-
-// ---------------------------------------------------------------------
-// History recorder: a global logical clock plus a thread-safe op log.
-// ---------------------------------------------------------------------
-
-type recorder struct {
-	clock atomic.Int64
-	mu    sync.Mutex
-	ops   []linearize.Op
-}
-
-func (rec *recorder) tick() int64 { return rec.clock.Add(1) }
-
-func (rec *recorder) add(client int, call, ret int64, in, out any) {
-	rec.mu.Lock()
-	rec.ops = append(rec.ops, linearize.Op{ClientID: client, Call: call, Ret: ret, Input: in, Output: out})
-	rec.mu.Unlock()
-}
-
-// acquireCode maps a typed acquire error to a model output.
-func acquireCode(err error) string {
-	switch {
-	case errors.Is(err, ErrNoWait):
-		return "busy"
-	case errors.Is(err, ErrWaitTimeout):
-		return "timeout"
-	case errors.Is(err, ErrQueueFull):
-		return "queuefull"
-	case errors.Is(err, ErrShed), errors.Is(err, ErrDegraded):
-		return "shed"
-	case errors.Is(err, ErrClosed):
-		return "closed"
-	}
-	return "unknown:" + err.Error()
-}
-
-func releaseCode(err error) string {
-	switch {
-	case err == nil:
-		return "ok"
-	case errors.Is(err, ErrNotHeld):
-		return "notheld"
-	case errors.Is(err, ErrLeaseExpired):
-		return "expired"
-	case errors.Is(err, ErrRevoked):
-		return "revoked"
-	}
-	return "unknown:" + err.Error()
-}
-
 // runHistory executes one randomized concurrent run against a
 // single-shard service and returns the recorded history. Leases use a
 // long TTL so expiry never interferes; expiry has its own scenario.
-func runHistory(t *testing.T, kind locks.Kind, seed int64, mut func(*Config)) []linearize.Op {
+// during, when non-nil, runs alongside the clients (the migration
+// suite's migrator).
+func runHistory(t *testing.T, kind locks.Kind, seed int64, mut func(*Config), during func(*Service)) []linearize.Op {
 	t.Helper()
+	rec := &History{}
 	cfg := Config{
 		Shards:     1,
 		Lock:       kind,
 		QueueDepth: 8,
 		DefaultTTL: time.Minute,
 		NoSweeper:  true,
+		OnExpire:   rec.Expired,
 	}
 	if mut != nil {
 		mut(&cfg)
-	}
-	rec := &recorder{}
-	cfg.OnExpire = func(l Lease) {
-		// Expiry linearizes somewhere before the callback; Call=0 is the
-		// sound (maximally wide) lower bound. Exactly-once and
-		// held-by-token legality still come from the model.
-		rec.add(-1, 0, rec.tick(), expIn{Res: l.Resource, Token: l.Token}, nil)
 	}
 	s, err := New(cfg)
 	if err != nil {
@@ -247,27 +51,27 @@ func runHistory(t *testing.T, kind locks.Kind, seed int64, mut func(*Config)) []
 			rng := rand.New(rand.NewSource(seed*1315423911 + int64(c)))
 			owner := fmt.Sprintf("c%d", c)
 			held := map[string]uint64{} // res -> token currently held
-			var past []relIn            // released tokens, for double-release probes
+			var past []LeaseOp          // released tokens, for double-release probes
 			for i := 0; i < opsPerClient; i++ {
 				res := resources[rng.Intn(len(resources))]
 				switch {
 				case held[res] != 0 && rng.Intn(100) < 80:
 					// Release what we hold.
-					in := relIn{Res: res, Token: held[res]}
-					call := rec.tick()
+					in := LeaseOp{Verb: VerbRelease, Res: res, Token: held[res]}
+					call := rec.Tick()
 					err := s.Release(in.Res, in.Token)
-					rec.add(c, call, rec.tick(), in, releaseCode(err))
+					rec.Add(c, call, rec.Tick(), in, ReleaseCode(err))
 					past = append(past, in)
 					delete(held, res)
 				case len(past) > 0 && rng.Intn(100) < 15:
 					// Double release of a stale token.
 					in := past[rng.Intn(len(past))]
-					call := rec.tick()
+					call := rec.Tick()
 					err := s.Release(in.Res, in.Token)
-					rec.add(c, call, rec.tick(), in, releaseCode(err))
+					rec.Add(c, call, rec.Tick(), in, ReleaseCode(err))
 				case rng.Intn(100) < 10:
-					in := revIn{Res: res}
-					call := rec.tick()
+					in := LeaseOp{Verb: VerbRevoke, Res: res}
+					call := rec.Tick()
 					l, ok, err := s.Revoke(in.Res)
 					if err != nil {
 						t.Errorf("revoke: %v", err)
@@ -277,23 +81,23 @@ func runHistory(t *testing.T, kind locks.Kind, seed int64, mut func(*Config)) []
 					if ok {
 						tok = l.Token
 					}
-					rec.add(c, call, rec.tick(), in, tok)
+					rec.Add(c, call, rec.Tick(), in, tok)
 				default:
-					in := acqIn{Res: res, NoWait: rng.Intn(100) < 25}
+					in := LeaseOp{Verb: VerbAcquire, Res: res, NoWait: rng.Intn(100) < 25}
 					opt := AcquireOptions{Wait: !in.NoWait, MaxWait: 2 * time.Millisecond}
-					call := rec.tick()
+					call := rec.Tick()
 					l, err := s.Acquire(in.Res, owner, opt)
-					ret := rec.tick()
+					ret := rec.Tick()
 					if err != nil {
-						rec.add(c, call, ret, in, acquireCode(err))
+						rec.Add(c, call, ret, in, AcquireCode(err))
 					} else {
-						rec.add(c, call, ret, in, l.Token)
+						rec.Add(c, call, ret, in, l.Token)
 						if old := held[res]; old != 0 {
 							// A re-grant while we still track a token means the
 							// old lease was revoked out from under us (the
 							// checker verifies that); keep the dead token as a
 							// double-release probe.
-							past = append(past, relIn{Res: res, Token: old})
+							past = append(past, LeaseOp{Verb: VerbRelease, Res: res, Token: old})
 						}
 						held[res] = l.Token
 					}
@@ -305,17 +109,19 @@ func runHistory(t *testing.T, kind locks.Kind, seed int64, mut func(*Config)) []
 			// Drop remaining leases so later histories in shared services
 			// would start clean; here it also exercises final releases.
 			for res, tok := range held {
-				in := relIn{Res: res, Token: tok}
-				call := rec.tick()
+				in := LeaseOp{Verb: VerbRelease, Res: res, Token: tok}
+				call := rec.Tick()
 				err := s.Release(in.Res, in.Token)
-				rec.add(c, call, rec.tick(), in, releaseCode(err))
+				rec.Add(c, call, rec.Tick(), in, ReleaseCode(err))
 			}
 		}(c)
 	}
+	if during != nil {
+		during(s)
+	}
 	wg.Wait()
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	return rec.ops
+	checkConservation(t, s, fmt.Sprintf("seed %d final", seed))
+	return rec.Ops()
 }
 
 // TestLinearizability runs 500 randomized histories per lock primitive
@@ -329,8 +135,8 @@ func TestLinearizability(t *testing.T) {
 			t.Parallel()
 			for i := 0; i < histories; i++ {
 				seed := int64(i) + 1
-				h := runHistory(t, kind, seed, nil)
-				if ok, why := linearize.Check(leaseModel{}, h); !ok {
+				h := runHistory(t, kind, seed, nil, nil)
+				if ok, why := linearize.Check(LeaseModel{}, h); !ok {
 					t.Fatalf("seed %d: history not linearizable:\n%s\nhistory:\n%s", seed, why, dumpHistory(h))
 				}
 			}
@@ -344,8 +150,8 @@ func TestLinearizabilityBroadcast(t *testing.T) {
 	const histories = 100
 	for i := 0; i < histories; i++ {
 		seed := int64(i) + 10_000
-		h := runHistory(t, locks.KindMCS, seed, func(c *Config) { c.Policy = PolicyBroadcast })
-		if ok, why := linearize.Check(leaseModel{}, h); !ok {
+		h := runHistory(t, locks.KindMCS, seed, func(c *Config) { c.Policy = PolicyBroadcast }, nil)
+		if ok, why := linearize.Check(LeaseModel{}, h); !ok {
 			t.Fatalf("seed %d: broadcast history not linearizable:\n%s\nhistory:\n%s", seed, why, dumpHistory(h))
 		}
 	}
@@ -360,8 +166,8 @@ func TestLinearizabilityCatchesBrokenHandoff(t *testing.T) {
 	const attempts = 50
 	for i := 0; i < attempts; i++ {
 		seed := int64(i) + 20_000
-		h := runHistory(t, locks.KindMCS, seed, func(c *Config) { c.brokenHandoff = true })
-		if ok, _ := linearize.Check(leaseModel{}, h); !ok {
+		h := runHistory(t, locks.KindMCS, seed, func(c *Config) { c.brokenHandoff = true }, nil)
+		if ok, _ := linearize.Check(LeaseModel{}, h); !ok {
 			return // caught, as required
 		}
 	}
@@ -374,7 +180,7 @@ func TestLinearizabilityCatchesBrokenHandoff(t *testing.T) {
 // history (including the expiry and the crasher's late release)
 // linearizes against the lease model.
 func TestCrashClientExpiresExactlyOnce(t *testing.T) {
-	rec := &recorder{}
+	rec := &History{}
 	var expiries atomic.Int64
 	clk := NewFakeClock()
 	s, err := New(Config{
@@ -385,7 +191,7 @@ func TestCrashClientExpiresExactlyOnce(t *testing.T) {
 		NoSweeper:  true,
 		OnExpire: func(l Lease) {
 			expiries.Add(1)
-			rec.add(-1, 0, rec.tick(), expIn{Res: l.Resource, Token: l.Token}, nil)
+			rec.Expired(l)
 		},
 	})
 	if err != nil {
@@ -394,9 +200,9 @@ func TestCrashClientExpiresExactlyOnce(t *testing.T) {
 	defer s.Close()
 
 	// The crasher takes the lease and never releases.
-	call := rec.tick()
+	call := rec.Tick()
 	crashed, err := s.Acquire("r", "crasher", AcquireOptions{TTL: time.Second})
-	rec.add(0, call, rec.tick(), acqIn{Res: "r"}, crashed.Token)
+	rec.Add(0, call, rec.Tick(), LeaseOp{Verb: VerbAcquire, Res: "r"}, crashed.Token)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,20 +213,20 @@ func TestCrashClientExpiresExactlyOnce(t *testing.T) {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			in := acqIn{Res: "r"}
-			call := rec.tick()
+			in := LeaseOp{Verb: VerbAcquire, Res: "r"}
+			call := rec.Tick()
 			l, err := s.Acquire("r", fmt.Sprintf("p%d", p), AcquireOptions{Wait: true})
-			ret := rec.tick()
+			ret := rec.Tick()
 			if err != nil {
-				rec.add(1+p, call, ret, in, acquireCode(err))
+				rec.Add(1+p, call, ret, in, AcquireCode(err))
 				t.Errorf("patient %d: %v", p, err)
 				return
 			}
-			rec.add(1+p, call, ret, in, l.Token)
-			rin := relIn{Res: "r", Token: l.Token}
-			call = rec.tick()
+			rec.Add(1+p, call, ret, in, l.Token)
+			rin := LeaseOp{Verb: VerbRelease, Res: "r", Token: l.Token}
+			call = rec.Tick()
 			rerr := s.Release(rin.Res, rin.Token)
-			rec.add(1+p, call, rec.tick(), rin, releaseCode(rerr))
+			rec.Add(1+p, call, rec.Tick(), rin, ReleaseCode(rerr))
 		}(p)
 	}
 	waitQueued(t, s, "r", patients)
@@ -434,10 +240,10 @@ func TestCrashClientExpiresExactlyOnce(t *testing.T) {
 	s.SweepExpired()
 
 	// The crasher comes back and learns its lease died.
-	rin := relIn{Res: "r", Token: crashed.Token}
-	call = rec.tick()
+	rin := LeaseOp{Verb: VerbRelease, Res: "r", Token: crashed.Token}
+	call = rec.Tick()
 	rerr := s.Release(rin.Res, rin.Token)
-	rec.add(0, call, rec.tick(), rin, releaseCode(rerr))
+	rec.Add(0, call, rec.Tick(), rin, ReleaseCode(rerr))
 	if !errors.Is(rerr, ErrLeaseExpired) {
 		t.Fatalf("crasher's late release: %v, want ErrLeaseExpired", rerr)
 	}
@@ -445,10 +251,8 @@ func TestCrashClientExpiresExactlyOnce(t *testing.T) {
 	if n := expiries.Load(); n != 1 {
 		t.Fatalf("lease expired %d times, want exactly once", n)
 	}
-	rec.mu.Lock()
-	h := append([]linearize.Op(nil), rec.ops...)
-	rec.mu.Unlock()
-	if ok, why := linearize.Check(leaseModel{}, h); !ok {
+	h := rec.Ops()
+	if ok, why := linearize.Check(LeaseModel{}, h); !ok {
 		t.Fatalf("crash-client history not linearizable:\n%s\nhistory:\n%s", why, dumpHistory(h))
 	}
 }

@@ -27,110 +27,82 @@ import (
 // Migrating a degraded shard only records the policy it will resume
 // with on restore. Migrating to the current policy is a no-op.
 func (s *Service) MigrateShard(shard int, p Policy) error {
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	if shard < 0 || shard >= len(s.shards) {
-		return configErr("shard", "index %d out of range [0,%d)", shard, len(s.shards))
+	sh, err := s.shardAt(shard)
+	if err != nil {
+		return err
 	}
 	if p != PolicyHandoff && p != PolicyBroadcast {
 		return configErr("policy", "cannot migrate to %q (have handoff, broadcast)", p)
 	}
-	sh := s.shards[shard]
-	now := s.clock.Now()
-
-	t := sh.lockShard()
+	now := sh.enter() // drains due work under the old policy
+	defer sh.leave()
 	if sh.policy == p {
-		sh.unlockShard(t)
 		return nil
 	}
-	expired := s.expireDueLocked(sh, now) // drain due work under the old policy
 	sh.policy = p
 	sh.epoch++
 	sh.armedAt = now
 	sh.counters.Migrations++
-	if !t.fb {
-		if p == PolicyHandoff {
-			// Waiters queued under broadcast may hold an unconsumed
-			// retry wake-up in their grant buffer. Hand-off delivery
-			// assumes that buffer slot is free — drain it now, under the
-			// guard, so no future grant can block behind a stale retry.
-			for _, r := range sh.res {
-				for _, w := range r.q {
-					select {
-					case <-w.grant:
-					default:
-					}
+	if sh.degraded {
+		return nil // nobody is queued, and nobody will be until restore
+	}
+	if p == PolicyHandoff {
+		// Waiters queued under broadcast may hold an unconsumed retry
+		// wake-up in their grant buffer. Hand-off delivery assumes that
+		// buffer slot is free — drain it now, under the guard, so no
+		// future grant can block behind a stale retry.
+		for _, r := range sh.res {
+			for _, w := range r.q {
+				select {
+				case <-w.grant:
+				default:
 				}
 			}
 		}
-		// Re-dispatch: a free resource with a queue must not stay idle
-		// across the flip (its wake-ups may have been consumed under the
-		// old discipline and lost their race).
-		for _, r := range sh.res {
-			if r.holder == nil && len(r.q) > 0 {
-				s.grantNextLocked(sh, r, now)
-			}
+	}
+	// Re-dispatch: a free resource with a queue must not stay idle
+	// across the flip (its wake-ups may have been consumed under the
+	// old discipline and lost their race).
+	for _, r := range sh.res {
+		if r.holder == nil && len(r.q) > 0 {
+			sh.grantNextLocked(r, now)
 		}
 	}
-	sh.unlockShard(t)
-	s.queueExpiryCallbacks(expired)
-	s.runCallbacks()
 	return nil
 }
 
-// DegradeShard administratively degrades one shard to plain-mutex
-// shed-load mode, exactly as the starvation watchdog would: queued
-// waiters are flushed with ErrDegraded and new waiters are shed. A
-// degraded shard stays degraded until RestoreShard.
+// DegradeShard administratively puts one shard into shed-load mode,
+// exactly as the starvation watchdog would: queued waiters are flushed
+// with ErrDegraded and new waiters are shed. A degraded shard stays
+// degraded until RestoreShard.
 func (s *Service) DegradeShard(shard int, reason string) error {
-	if s.closed.Load() {
-		return ErrClosed
+	sh, err := s.shardAt(shard)
+	if err != nil {
+		return err
 	}
-	if shard < 0 || shard >= len(s.shards) {
-		return configErr("shard", "index %d out of range [0,%d)", shard, len(s.shards))
-	}
-	sh := s.shards[shard]
-	t := sh.lockShard()
-	t = sh.degradeLocked(t, reason)
-	sh.unlockShard(t)
-	s.runCallbacks()
+	sh.enter()
+	sh.degradeLocked(reason)
+	sh.leave()
 	return nil
 }
 
-// RestoreShard returns a degraded shard to primitive-guarded service
-// under its recorded policy. The restore inverts the degradation
-// protocol: with the fallback mutex held it acquires the primitive
-// guard too, and only with BOTH guards held does the flag flip — so no
-// goroutine can be mid-critical-section under either guard at the
-// instant authority transfers back. Restoring a healthy shard is a
-// no-op.
+// RestoreShard returns a degraded shard to queueing service under its
+// recorded policy, with the watchdog re-armed. The flip runs under the
+// shard guard like every grant decision, so it has a place in the
+// shard's serialization order. Restoring a healthy shard is a no-op.
 func (s *Service) RestoreShard(shard int) error {
-	if s.closed.Load() {
-		return ErrClosed
+	sh, err := s.shardAt(shard)
+	if err != nil {
+		return err
 	}
-	if shard < 0 || shard >= len(s.shards) {
-		return configErr("shard", "index %d out of range [0,%d)", shard, len(s.shards))
+	now := sh.enter()
+	if sh.degraded {
+		sh.degraded, sh.degradeReason = false, ""
+		sh.epoch++
+		sh.armedAt = now
+		sh.counters.Restores++
 	}
-	sh := s.shards[shard]
-	now := s.clock.Now()
-
-	sh.fb.Lock()
-	if !sh.degraded.Load() {
-		sh.fb.Unlock()
-		return nil
-	}
-	sh.mu.Lock()
-	// Both guards held: nobody is inside the shard. (Deadlock-free:
-	// degradeLocked's mu→fb order only runs on non-degraded shards, and
-	// this fb→mu order only on degraded ones; the flag arbitrates.)
-	sh.degraded.Store(false)
-	sh.degradeReason = ""
-	sh.epoch++
-	sh.armedAt = now
-	sh.counters.Restores++
-	sh.fb.Unlock()
-	sh.mu.Unlock()
+	sh.leave()
 	return nil
 }
 
@@ -146,7 +118,8 @@ func (p plantAdapter) NumShards() int { return len(p.s.shards) }
 // shard's telemetry under its guard.
 func (p plantAdapter) SampleShard(i int) adaptive.Sample {
 	sh := p.s.shards[i]
-	t := sh.lockShard()
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	smp := adaptive.Sample{
 		Acquires:       sh.counters.Acquires,
 		Grants:         sh.counters.Grants,
@@ -155,10 +128,9 @@ func (p plantAdapter) SampleShard(i int) adaptive.Sample {
 		Queued:         sh.queued,
 		Policy:         adaptive.Policy(sh.policy),
 	}
-	if t.fb {
+	if sh.degraded {
 		smp.Policy = adaptive.PolicyDegraded
 	}
-	sh.unlockShard(t)
 	return smp
 }
 

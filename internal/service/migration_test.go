@@ -26,112 +26,19 @@ import (
 // instant — including immediately after a policy flip.
 func checkConservation(t *testing.T, s *Service, when string) {
 	t.Helper()
-	snap := s.Snapshot()
-	accounted := snap.Totals.Releases + snap.Totals.Expiries + snap.Totals.Revocations + uint64(snap.LiveLeases)
-	if snap.Totals.Grants != accounted {
-		t.Errorf("%s: lease conservation violated: grants=%d but releases=%d + expiries=%d + revocations=%d + live=%d = %d",
-			when, snap.Totals.Grants, snap.Totals.Releases, snap.Totals.Expiries,
-			snap.Totals.Revocations, snap.LiveLeases, accounted)
+	if err := s.Snapshot().Conserved(); err != nil {
+		t.Errorf("%s: lease conservation violated: %v", when, err)
 	}
 }
 
 // runMigrationHistory is runHistory with a migrator in the loop: while
 // the clients run their randomized ops against a single-shard service,
-// a migrator goroutine flips the shard between handoff and broadcast —
-// and occasionally through a degrade/restore cycle — verifying lease
+// the migrator flips the shard between handoff and broadcast — and
+// occasionally through a degrade/restore cycle — verifying lease
 // conservation after every flip.
 func runMigrationHistory(t *testing.T, kind locks.Kind, seed int64) []linearize.Op {
 	t.Helper()
-	rec := &recorder{}
-	cfg := Config{
-		Shards:     1,
-		Lock:       kind,
-		QueueDepth: 8,
-		DefaultTTL: time.Minute,
-		NoSweeper:  true,
-		OnExpire: func(l Lease) {
-			rec.add(-1, 0, rec.tick(), expIn{Res: l.Resource, Token: l.Token}, nil)
-		},
-	}
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	const clients = 3
-	const opsPerClient = 6
-	resources := []string{"a", "b"}
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed*1315423911 + int64(c)))
-			owner := fmt.Sprintf("c%d", c)
-			held := map[string]uint64{}
-			var past []relIn
-			for i := 0; i < opsPerClient; i++ {
-				res := resources[rng.Intn(len(resources))]
-				switch {
-				case held[res] != 0 && rng.Intn(100) < 80:
-					in := relIn{Res: res, Token: held[res]}
-					call := rec.tick()
-					err := s.Release(in.Res, in.Token)
-					rec.add(c, call, rec.tick(), in, releaseCode(err))
-					past = append(past, in)
-					delete(held, res)
-				case len(past) > 0 && rng.Intn(100) < 15:
-					in := past[rng.Intn(len(past))]
-					call := rec.tick()
-					err := s.Release(in.Res, in.Token)
-					rec.add(c, call, rec.tick(), in, releaseCode(err))
-				case rng.Intn(100) < 10:
-					in := revIn{Res: res}
-					call := rec.tick()
-					l, ok, err := s.Revoke(in.Res)
-					if err != nil {
-						t.Errorf("revoke: %v", err)
-						return
-					}
-					var tok uint64
-					if ok {
-						tok = l.Token
-					}
-					rec.add(c, call, rec.tick(), in, tok)
-				default:
-					in := acqIn{Res: res, NoWait: rng.Intn(100) < 25}
-					opt := AcquireOptions{Wait: !in.NoWait, MaxWait: 2 * time.Millisecond}
-					call := rec.tick()
-					l, err := s.Acquire(in.Res, owner, opt)
-					ret := rec.tick()
-					if err != nil {
-						rec.add(c, call, ret, in, acquireCode(err))
-					} else {
-						rec.add(c, call, ret, in, l.Token)
-						if old := held[res]; old != 0 {
-							past = append(past, relIn{Res: res, Token: old})
-						}
-						held[res] = l.Token
-					}
-				}
-				for k := rng.Intn(3); k > 0; k-- {
-					runtime.Gosched()
-				}
-			}
-			for res, tok := range held {
-				in := relIn{Res: res, Token: tok}
-				call := rec.tick()
-				err := s.Release(in.Res, in.Token)
-				rec.add(c, call, rec.tick(), in, releaseCode(err))
-			}
-		}(c)
-	}
-
-	// The migrator: random flips interleaved with the traffic above.
-	migratorDone := make(chan struct{})
-	go func() {
-		defer close(migratorDone)
+	return runHistory(t, kind, seed, nil, func(s *Service) {
 		rng := rand.New(rand.NewSource(seed * 2654435761))
 		flips := 4 + rng.Intn(5)
 		for f := 0; f < flips; f++ {
@@ -162,13 +69,7 @@ func runMigrationHistory(t *testing.T, kind locks.Kind, seed int64) []linearize.
 				runtime.Gosched()
 			}
 		}
-	}()
-	wg.Wait()
-	<-migratorDone
-	checkConservation(t, s, fmt.Sprintf("seed %d final", seed))
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	return rec.ops
+	})
 }
 
 // TestMigrationLinearizability runs 500 randomized histories with live
@@ -182,7 +83,7 @@ func TestMigrationLinearizability(t *testing.T) {
 		seed := int64(i) + 30_000
 		kind := kinds[i%len(kinds)]
 		h := runMigrationHistory(t, kind, seed)
-		if ok, why := linearize.Check(leaseModel{}, h); !ok {
+		if ok, why := linearize.Check(LeaseModel{}, h); !ok {
 			t.Fatalf("seed %d (%s): migration history not linearizable:\n%s\nhistory:\n%s",
 				seed, kind, why, dumpHistory(h))
 		}
@@ -448,4 +349,46 @@ func TestAdaptiveServiceMigratesUnderLoad(t *testing.T) {
 		t.Fatalf("snapshot controller tuning missing")
 	}
 	checkConservation(t, s, "adaptive load")
+}
+
+// TestStaleRetryAfterHandoff pins the broadcast waiter's re-contention
+// step against a flip it raced: the waiter consumed a retry wake-up, the
+// shard migrated to hand-off and handed it a lease, and that lease ended
+// (revoked) before the waiter got to tryClaim. It must take the lease it
+// was handed — the one grant the service recorded for it — not claim a
+// second one and drop the first on the floor, which left a revocation of
+// a token no client ever saw (a migration history the checker rejects).
+func TestStaleRetryAfterHandoff(t *testing.T) {
+	s, err := New(Config{Shards: 1, QueueDepth: 8, NoSweeper: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	hold, err := s.Acquire("r", "holder", AcquireOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A parked waiter whose goroutine is this test: it has taken a retry
+	// wake-up off its channel and not yet acted on it.
+	sh := s.shards[0]
+	w := &waiter{owner: "w", ttl: time.Minute, enq: time.Now(), grant: make(chan grantResult, 1)}
+	sh.mu.Lock()
+	sh.res["r"].q = append(sh.res["r"].q, w)
+	sh.queued++
+	sh.mu.Unlock()
+
+	if err := s.Release("r", hold.Token); err != nil { // hands w a lease
+		t.Fatal(err)
+	}
+	revoked, ok, err := s.Revoke("r")
+	if !ok || err != nil {
+		t.Fatalf("revoke: %v %v", ok, err)
+	}
+	if l, done, err := s.tryClaim(sh, "r", w); done {
+		t.Fatalf("stale retry claimed a second lease: %+v, %v", l, err)
+	}
+	if g := <-w.grant; g.retry || g.lease.Token != revoked.Token {
+		t.Fatalf("waiter's pending grant = %+v, want the handed-off lease #%d", g, revoked.Token)
+	}
+	checkConservation(t, s, "after the stale retry")
 }

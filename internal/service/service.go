@@ -28,17 +28,18 @@
 // Each shard's internal state is guarded by a selectable locks.Lock
 // primitive (tts/ticket/mcs/clh/adaptive), so the serving layer's own
 // hot path rides the PR-5 primitives. A starvation watchdog — the same
-// role the check monitor's watchdog plays for the simulator — degrades a
-// pathological shard to a plain sync.Mutex plus shed-load mode: queued
-// waiters are flushed with a typed error and no new waiters are admitted,
-// mirroring the simulator's graceful degradation to plain RFO.
+// role the check monitor's watchdog plays for the simulator — puts a
+// pathological shard into shed-load mode: queued waiters are flushed
+// with a typed error and no new waiters are admitted, mirroring the
+// simulator's graceful degradation to plain RFO. Like the paper's
+// time-out it changes what the shard does, not who guards it: the mode
+// is a flag under the shard's one guard.
 package service
 
 import (
 	"container/heap"
 	"fmt"
 	"hash/fnv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -105,11 +106,8 @@ type Config struct {
 	// Shards is the number of lease-table shards (default 8). Resources
 	// hash to shards; each shard is one lock domain.
 	Shards int
-	// Lock is the primitive guarding every shard (default mcs). Locks,
-	// when non-empty, overrides it per shard (len must equal Shards) —
-	// "primitive selectable per shard".
-	Lock  locks.Kind
-	Locks []locks.Kind
+	// Lock is the primitive guarding every shard (default mcs).
+	Lock locks.Kind
 	// Policy is the grant policy (default PolicyHandoff).
 	Policy Policy
 	// QueueDepth bounds each shard's admission queue (default 64).
@@ -125,10 +123,10 @@ type Config struct {
 	// Clock substitutes a manual clock (nil = wall clock).
 	Clock Clock
 	// OnExpire, when non-nil, is called exactly once per expired lease,
-	// outside all shard locks.
+	// with no shard guard held, by the operation that reclaimed it.
 	OnExpire func(Lease)
 	// OnDegrade, when non-nil, is called once per shard degradation,
-	// outside all shard locks.
+	// with no shard guard held, by the operation that degraded it.
 	OnDegrade func(shard int, reason string)
 	// NoSweeper disables the background expiry sweeper; tests drive
 	// SweepExpired manually against a FakeClock.
@@ -161,9 +159,6 @@ func (c *Config) withDefaults() (Config, error) {
 	}
 	if cfg.Lock == "" {
 		cfg.Lock = locks.KindMCS
-	}
-	if len(cfg.Locks) != 0 && len(cfg.Locks) != cfg.Shards {
-		return cfg, configErr("locks", "%d per-shard locks for %d shards", len(cfg.Locks), cfg.Shards)
 	}
 	if cfg.Policy == "" {
 		cfg.Policy = PolicyHandoff
@@ -226,10 +221,13 @@ type waiter struct {
 	flushErr error
 }
 
-// leaseState is the shard's record of a live lease.
+// leaseState is the shard's record of a live lease. heapIdx is its slot
+// in the shard's expiry heap, kept current by the heap's Swap, so the
+// lease's end removes its entry and the heap holds live leases only.
 type leaseState struct {
 	lease     Lease
 	grantedAt time.Time
+	heapIdx   int
 }
 
 // resource is one named resource's state within a shard.
@@ -239,46 +237,49 @@ type resource struct {
 	q      []*waiter // FIFO admission order
 }
 
-// heapEntry schedules one lease's expiry; entries are lazily invalidated
-// by token comparison, so releases never search the heap.
-type heapEntry struct {
-	deadline int64 // UnixNano
-	token    uint64
-	res      string
-}
-
-type leaseHeap []heapEntry
+// leaseHeap orders a shard's live leases by deadline.
+type leaseHeap []*leaseState
 
 func (h leaseHeap) Len() int           { return len(h) }
-func (h leaseHeap) Less(i, j int) bool { return h[i].deadline < h[j].deadline }
-func (h leaseHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *leaseHeap) Push(x any)        { *h = append(*h, x.(heapEntry)) }
-func (h *leaseHeap) Pop() any          { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+func (h leaseHeap) Less(i, j int) bool { return h[i].lease.Deadline.Before(h[j].lease.Deadline) }
+func (h leaseHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].heapIdx, h[j].heapIdx = i, j
+}
+func (h *leaseHeap) Push(x any) {
+	ls := x.(*leaseState)
+	ls.heapIdx = len(*h)
+	*h = append(*h, ls)
+}
+func (h *leaseHeap) Pop() any {
+	old := *h
+	n := len(old) - 1
+	ls := old[n]
+	old[n] = nil
+	*h = old[:n]
+	return ls
+}
 
 // goneRingSize bounds each shard's memory of ended tokens (expired or
 // revoked), which types late releases.
 const goneRingSize = 1024
 
-// lockToken records which guard a shard operation holds; see
-// shard.lockShard.
-type lockToken struct {
-	fb     bool // entered via the degraded fallback mutex
-	alsoFB bool // degraded mid-operation: holding both guards
-}
-
-// shard is one lock domain: a lease table plus its admission queue,
-// guarded by a selectable primitive with a plain-mutex degradation path.
+// shard is one lock domain: a lease table plus its admission queue, under
+// one guard.
 type shard struct {
 	svc *Service
 	id  int
 
-	mu       locks.Lock // primitive guard (normal mode)
-	fb       sync.Mutex // fallback guard (degraded mode)
-	degraded atomic.Bool
+	// mu guards everything below. An operation takes it with enter and
+	// gives it up with leave; a section that only reads, or that can
+	// neither expire a lease nor degrade the shard, locks it directly.
+	mu locks.Lock
 
-	// Everything below is guarded by mu (normal) or fb (degraded); the
-	// degradation protocol in degradeLocked / restore makes the switch
-	// safe.
+	// degraded is shed-load mode: the queued waiters were flushed with
+	// ErrDegraded, no new one is admitted (ErrShed), and a free resource
+	// is still granted. The watchdog or DegradeShard sets it,
+	// RestoreShard clears it.
+	degraded      bool
 	degradeReason string
 	// policy is this shard's live wakeup discipline. It starts at
 	// Config.Policy and moves under MigrateShard; every grant decision
@@ -294,7 +295,7 @@ type shard struct {
 	armedAt time.Time
 	res     map[string]*resource
 	queued  int
-	heap    leaseHeap
+	heap    leaseHeap        // the live leases, earliest deadline first
 	gone    map[uint64]error // token → ErrLeaseExpired / ErrRevoked
 	// fences holds each resource's monotonic grant counter. Entries
 	// deliberately outlive the resource's res entry (never deleted), so
@@ -306,65 +307,57 @@ type shard struct {
 	counters  Counters
 	grantWait stats.Histogram // enqueue → grant, ns
 	hold      stats.Histogram // grant → release, ns
+
+	// expired and degradedNow are what the current critical section did
+	// that an observer is told of; leave takes them and calls OnExpire
+	// and OnDegrade once the guard is released.
+	expired     []Lease
+	degradedNow bool
 }
 
-// lockShard acquires the shard guard. Before degradation that is the
-// configured primitive; after, the plain fallback mutex. The flag is
-// re-checked after acquiring either guard so a goroutine that raced a
-// degradation — or, since RestoreShard, a restoration — never mutates
-// state under the abandoned guard.
-func (sh *shard) lockShard() lockToken {
-	for {
-		if sh.degraded.Load() {
-			sh.fb.Lock()
-			if sh.degraded.Load() {
-				return lockToken{fb: true}
-			}
-			sh.fb.Unlock()
-			continue
+// enter opens an operation's critical section: it reads the clock, takes
+// the guard, and does what every operation owes the shard first —
+// reclaim the leases that are due, so an operation racing a deadline
+// sees the typed expiry and never a lease about to vanish, and run the
+// starvation watchdog.
+func (sh *shard) enter() time.Time {
+	now := sh.svc.clock.Now()
+	sh.mu.Lock()
+	sh.expireDueLocked(now)
+	sh.watchdogLocked(now)
+	return now
+}
+
+// leave closes the critical section and then, with no guard held, tells
+// the observers what it did. The callbacks run on the operation's own
+// goroutine, so they may call back into the service, this shard
+// included.
+func (sh *shard) leave() {
+	expired, degraded, reason := sh.expired, sh.degradedNow, sh.degradeReason
+	sh.expired, sh.degradedNow = nil, false
+	sh.mu.Unlock()
+	cfg := &sh.svc.cfg
+	if cfg.OnExpire != nil {
+		for _, l := range expired {
+			cfg.OnExpire(l)
 		}
-		sh.mu.Lock()
-		if !sh.degraded.Load() {
-			return lockToken{}
-		}
-		sh.mu.Unlock()
+	}
+	if degraded && cfg.OnDegrade != nil {
+		cfg.OnDegrade(sh.id, reason)
 	}
 }
 
-func (sh *shard) unlockShard(t lockToken) {
-	if t.fb {
-		sh.fb.Unlock()
+// degradeLocked puts the shard into shed-load mode (see shard.degraded).
+// Flushing the queue is the serving-layer analogue of the simulator
+// flushing held delays when it degrades to plain RFO.
+func (sh *shard) degradeLocked(reason string) {
+	if sh.degraded {
 		return
 	}
-	if t.alsoFB {
-		sh.fb.Unlock()
-	}
-	sh.mu.Unlock()
-}
-
-// degradeLocked switches the shard to plain-mutex + shed-load mode. The
-// caller holds the primitive guard; the fallback mutex is acquired
-// BEFORE the flag flips and stays held until the caller's unlockShard,
-// so at no instant can a fallback-path goroutine overlap the degrading
-// critical section. Queued waiters are flushed with ErrDegraded — the
-// serving-layer analogue of the simulator flushing held delays when it
-// degrades to plain RFO.
-func (sh *shard) degradeLocked(t lockToken, reason string) lockToken {
-	if t.fb || sh.degraded.Load() {
-		return t
-	}
-	sh.fb.Lock()
-	t.alsoFB = true
-	sh.degraded.Store(true)
-	sh.degradeReason = reason
+	sh.degraded, sh.degradedNow, sh.degradeReason = true, true, reason
 	sh.epoch++
 	sh.counters.Degrades++
 	sh.flushWaitersLocked(ErrDegraded)
-	if cb := sh.svc.cfg.OnDegrade; cb != nil {
-		id := sh.id
-		sh.svc.pendingCallbacks(func() { cb(id, reason) })
-	}
-	return t
 }
 
 // flushWaitersLocked fails every queued waiter with err and empties the
@@ -434,19 +427,132 @@ func (sh *shard) oldestWaitLocked() (time.Time, bool) {
 
 // watchdogLocked is the starvation watchdog: a queued wait older than
 // StarvationBound degrades the shard.
-func (sh *shard) watchdogLocked(t lockToken, now time.Time) lockToken {
-	if t.fb || sh.svc.cfg.StarvationBound <= 0 {
-		return t
+func (sh *shard) watchdogLocked(now time.Time) {
+	bound := sh.svc.cfg.StarvationBound
+	if sh.degraded || bound <= 0 {
+		return
 	}
 	if oldest, ok := sh.oldestWaitLocked(); ok {
 		if sh.armedAt.After(oldest) {
 			oldest = sh.armedAt // re-armed since the oldest enqueue
 		}
-		if age := now.Sub(oldest); age > sh.svc.cfg.StarvationBound {
-			return sh.degradeLocked(t, fmt.Sprintf("starvation: waiter queued %v > bound %v", age, sh.svc.cfg.StarvationBound))
+		if age := now.Sub(oldest); age > bound {
+			sh.degradeLocked(fmt.Sprintf("starvation: waiter queued %v > bound %v", age, bound))
 		}
 	}
-	return t
+}
+
+// newLeaseLocked creates a live lease for r and schedules its expiry.
+func (sh *shard) newLeaseLocked(r *resource, owner string, now time.Time, ttl time.Duration) Lease {
+	sh.fences[r.name]++
+	lease := Lease{
+		Resource: r.name,
+		Owner:    owner,
+		Token:    sh.svc.tokens.Add(1),
+		Fence:    sh.fences[r.name],
+		Deadline: now.Add(ttl),
+	}
+	r.holder = &leaseState{lease: lease, grantedAt: now}
+	heap.Push(&sh.heap, r.holder)
+	sh.live++
+	sh.counters.Grants++
+	return lease
+}
+
+// endLeaseLocked ends r's live lease and passes the resource on. cause is
+// nil for a release; otherwise it is the typed verdict (ErrLeaseExpired,
+// ErrRevoked) a late release of the dead token gets.
+func (sh *shard) endLeaseLocked(r *resource, cause error, now time.Time) Lease {
+	ls := r.holder
+	switch cause {
+	case nil:
+		sh.counters.Releases++
+		sh.hold.Add(uint64(now.Sub(ls.grantedAt)))
+	case ErrLeaseExpired:
+		sh.counters.Expiries++
+		sh.expired = append(sh.expired, ls.lease)
+	case ErrRevoked:
+		sh.counters.Revocations++
+	}
+	if cause != nil {
+		sh.rememberGone(ls.lease.Token, cause)
+	}
+	r.holder = nil
+	sh.live--
+	heap.Remove(&sh.heap, ls.heapIdx)
+	sh.grantNextLocked(r, now)
+	return ls.lease
+}
+
+// expireDueLocked reclaims every lease past its deadline and grants
+// successors.
+func (sh *shard) expireDueLocked(now time.Time) {
+	for len(sh.heap) > 0 && !sh.heap[0].lease.Deadline.After(now) {
+		// A heap entry is its resource's holder: newLeaseLocked makes it
+		// both, endLeaseLocked unmakes both, and a held resource's entry
+		// in res is never collected.
+		sh.endLeaseLocked(sh.res[sh.heap[0].lease.Resource], ErrLeaseExpired, now)
+	}
+}
+
+// grantNextLocked passes a freed resource onward per the shard's live
+// grant policy.
+func (sh *shard) grantNextLocked(r *resource, now time.Time) {
+	if sh.policy == PolicyBroadcast {
+		// Broadcast: wake the whole pack; they re-contend under the
+		// shard guard and all but one wake-up is wasted.
+		if n := len(r.q); n > 0 {
+			sh.counters.BroadcastWakeups += uint64(n)
+			for _, w := range r.q {
+				select {
+				case w.grant <- grantResult{retry: true}:
+				default: // a wake-up is already pending
+				}
+			}
+		}
+		sh.gcLocked(r)
+		return
+	}
+	// Direct hand-off: build the successor's lease while still holding
+	// the shard and deliver it in one transfer.
+	if len(r.q) > 0 {
+		w := r.q[0]
+		r.q = r.q[1:]
+		sh.queued--
+		lease := sh.newLeaseLocked(r, w.owner, now, w.ttl)
+		sh.counters.Handoffs++
+		sh.grantWait.Add(uint64(now.Sub(w.enq)))
+		if sh.svc.cfg.brokenHandoff {
+			// Seeded bug: the transfer is "forgotten".
+			heap.Remove(&sh.heap, r.holder.heapIdx)
+			r.holder = nil
+		}
+		w.grant <- grantResult{lease: lease}
+		return
+	}
+	sh.gcLocked(r)
+}
+
+// verdictLocked types the claim (token, fence) on the named resource,
+// whose entry is r (nil if it has none): nil when token holds it and the
+// fence claim, if any, matches; otherwise why not — ErrLeaseExpired or
+// ErrRevoked while the gone-ring remembers the token, ErrFenced when the
+// fence claim is provably stale, ErrNotHeld for the rest.
+func (sh *shard) verdictLocked(r *resource, name string, token, fence uint64) error {
+	if r != nil && r.holder != nil && r.holder.lease.Token == token {
+		if fence == 0 || fence == r.holder.lease.Fence {
+			return nil
+		}
+		// The token matches but the fence claim does not: a confused
+		// client must not act on a lease it cannot prove is its own.
+		// ErrFenced, below.
+	} else if cause, ok := sh.gone[token]; ok {
+		return cause
+	} else if fence == 0 || fence >= sh.fences[name] {
+		return ErrNotHeld
+	}
+	sh.counters.FencedRejects++
+	return ErrFenced
 }
 
 // Service is a sharded lock-lease service.
@@ -469,11 +575,6 @@ type Service struct {
 
 	stop        chan struct{}
 	sweeperDone chan struct{}
-
-	// cbMu serializes deferred callbacks (expiry, degrade) so observers
-	// see them in a consistent order without any shard lock held.
-	cbMu    sync.Mutex
-	cbQueue []func()
 }
 
 // New builds a service and, unless NoSweeper, starts its expiry sweeper.
@@ -494,11 +595,7 @@ func New(cfg Config) (*Service, error) {
 	}
 	s.shards = make([]*shard, full.Shards)
 	for i := range s.shards {
-		kind := full.Lock
-		if len(full.Locks) != 0 {
-			kind = full.Locks[i]
-		}
-		mu, err := locks.New(kind, lockOpts...)
+		mu, err := locks.New(full.Lock, lockOpts...)
 		if err != nil {
 			return nil, configErr("lock", "shard %d: %v", i, err)
 		}
@@ -531,16 +628,27 @@ func New(cfg Config) (*Service, error) {
 // Individual shards may have migrated since; see ShardPolicy.
 func (s *Service) Policy() Policy { return s.cfg.Policy }
 
+// shardAt resolves a shard index for the per-shard verbs.
+func (s *Service) shardAt(i int) (*shard, error) {
+	if s.closed.Load() {
+		return nil, ErrClosed
+	}
+	if i < 0 || i >= len(s.shards) {
+		return nil, configErr("shard", "index %d out of range [0,%d)", i, len(s.shards))
+	}
+	return s.shards[i], nil
+}
+
 // ShardPolicy reports the live discipline of one shard: its current
 // policy, or degraded state if the shard has been degraded.
 func (s *Service) ShardPolicy(shard int) (p Policy, degraded bool, err error) {
-	if shard < 0 || shard >= len(s.shards) {
-		return "", false, configErr("shard", "index %d out of range [0,%d)", shard, len(s.shards))
+	sh, err := s.shardAt(shard)
+	if err != nil {
+		return "", false, err
 	}
-	sh := s.shards[shard]
-	t := sh.lockShard()
-	p, degraded = sh.policy, t.fb
-	sh.unlockShard(t)
+	sh.mu.Lock()
+	p, degraded = sh.policy, sh.degraded
+	sh.mu.Unlock()
 	return p, degraded, nil
 }
 
@@ -553,45 +661,6 @@ func (s *Service) shardFor(resource string) *shard {
 	return s.shards[h.Sum32()%uint32(len(s.shards))]
 }
 
-// pendingCallbacks enqueues a deferred callback; runCallbacks drains the
-// queue outside all shard locks.
-func (s *Service) pendingCallbacks(f func()) {
-	s.cbMu.Lock()
-	s.cbQueue = append(s.cbQueue, f)
-	s.cbMu.Unlock()
-}
-
-func (s *Service) runCallbacks() {
-	for {
-		s.cbMu.Lock()
-		if len(s.cbQueue) == 0 {
-			s.cbMu.Unlock()
-			return
-		}
-		f := s.cbQueue[0]
-		s.cbQueue = s.cbQueue[1:]
-		s.cbMu.Unlock()
-		f()
-	}
-}
-
-// newLeaseLocked creates a live lease for r and schedules its expiry.
-func (s *Service) newLeaseLocked(sh *shard, r *resource, owner string, now time.Time, ttl time.Duration) Lease {
-	sh.fences[r.name]++
-	lease := Lease{
-		Resource: r.name,
-		Owner:    owner,
-		Token:    s.tokens.Add(1),
-		Fence:    sh.fences[r.name],
-		Deadline: now.Add(ttl),
-	}
-	r.holder = &leaseState{lease: lease, grantedAt: now}
-	heap.Push(&sh.heap, heapEntry{deadline: lease.Deadline.UnixNano(), token: lease.Token, res: r.name})
-	sh.live++
-	sh.counters.Grants++
-	return lease
-}
-
 // clampTTL resolves an acquire's TTL against the config bounds.
 func (s *Service) clampTTL(ttl time.Duration) time.Duration {
 	if ttl <= 0 {
@@ -601,75 +670,6 @@ func (s *Service) clampTTL(ttl time.Duration) time.Duration {
 		ttl = s.cfg.MaxTTL
 	}
 	return ttl
-}
-
-// grantNextLocked passes a freed resource onward per the shard's live
-// grant policy.
-func (s *Service) grantNextLocked(sh *shard, r *resource, now time.Time) {
-	if sh.policy == PolicyBroadcast {
-		// Broadcast: wake the whole pack; they re-contend under the
-		// shard guard and all but one wake-up is wasted.
-		if n := len(r.q); n > 0 {
-			sh.counters.BroadcastWakeups += uint64(n)
-			for _, w := range r.q {
-				select {
-				case w.grant <- grantResult{retry: true}:
-				default: // a wake-up is already pending
-				}
-			}
-		}
-		sh.gcLocked(r)
-		return
-	}
-	// Direct hand-off: build the successor's lease while still holding
-	// the shard and deliver it in one transfer.
-	if len(r.q) > 0 {
-		w := r.q[0]
-		r.q = r.q[1:]
-		sh.queued--
-		lease := s.newLeaseLocked(sh, r, w.owner, now, w.ttl)
-		sh.counters.Handoffs++
-		sh.grantWait.Add(uint64(now.Sub(w.enq)))
-		if s.cfg.brokenHandoff {
-			r.holder = nil // seeded bug: the transfer is "forgotten"
-		}
-		w.grant <- grantResult{lease: lease}
-		return
-	}
-	sh.gcLocked(r)
-}
-
-// expireDueLocked reclaims every lease past its deadline in this shard
-// and grants successors; it returns the expired leases for the
-// exactly-once OnExpire callbacks (run by the caller outside the lock).
-func (s *Service) expireDueLocked(sh *shard, now time.Time) []Lease {
-	var out []Lease
-	nowNS := now.UnixNano()
-	for len(sh.heap) > 0 && sh.heap[0].deadline <= nowNS {
-		e := heap.Pop(&sh.heap).(heapEntry)
-		r := sh.res[e.res]
-		if r == nil || r.holder == nil || r.holder.lease.Token != e.token {
-			continue // stale entry: the lease was released or revoked
-		}
-		lease := r.holder.lease
-		r.holder = nil
-		sh.live--
-		sh.rememberGone(e.token, ErrLeaseExpired)
-		sh.counters.Expiries++
-		out = append(out, lease)
-		s.grantNextLocked(sh, r, now)
-	}
-	return out
-}
-
-// queueExpiryCallbacks defers OnExpire for each expired lease.
-func (s *Service) queueExpiryCallbacks(expired []Lease) {
-	if cb := s.cfg.OnExpire; cb != nil {
-		for _, l := range expired {
-			lease := l
-			s.pendingCallbacks(func() { cb(lease) })
-		}
-	}
 }
 
 // Acquire requests an exclusive lease on a named resource. A free
@@ -689,44 +689,44 @@ func (s *Service) Acquire(resourceName, owner string, opt AcquireOptions) (Lease
 	}
 	ttl := s.clampTTL(opt.TTL)
 	sh := s.shardFor(resourceName)
-	now := s.clock.Now()
-
-	t := sh.lockShard()
-	if s.closed.Load() {
-		sh.unlockShard(t)
-		return Lease{}, ErrClosed
+	now := sh.enter()
+	lease, w, err := sh.admitLocked(resourceName, owner, now, ttl, opt.Wait)
+	sh.leave()
+	if w == nil {
+		return lease, err
 	}
-	if s.draining.Load() {
-		// Re-checked under the shard guard so no waiter can slip into the
-		// queue after Drain's flush pass.
-		sh.unlockShard(t)
-		return Lease{}, ErrDraining
+	return s.await(sh, resourceName, w, opt)
+}
+
+// admitLocked is Acquire's decision: grant the lease, refuse typed, or
+// queue the request (the returned waiter).
+func (sh *shard) admitLocked(resourceName, owner string, now time.Time, ttl time.Duration, wait bool) (Lease, *waiter, error) {
+	// Re-checked under the shard guard so no waiter can slip into the
+	// queue after Close's or Drain's flush pass.
+	if sh.svc.closed.Load() {
+		return Lease{}, nil, ErrClosed
+	}
+	if sh.svc.draining.Load() {
+		return Lease{}, nil, ErrDraining
 	}
 	sh.counters.Acquires++
-	expired := s.expireDueLocked(sh, now)
-	t = sh.watchdogLocked(t, now)
 	r := sh.resourceLocked(resourceName)
-
-	if r.holder == nil && (t.fb || sh.policy == PolicyBroadcast || len(r.q) == 0) {
-		lease := s.newLeaseLocked(sh, r, owner, now, ttl)
+	if r.holder == nil && (sh.degraded || sh.policy == PolicyBroadcast || len(r.q) == 0) {
 		sh.counters.ImmediateGrants++
 		sh.grantWait.Add(0)
-		sh.unlockShard(t)
-		s.queueExpiryCallbacks(expired)
-		s.runCallbacks()
-		return lease, nil
+		return sh.newLeaseLocked(r, owner, now, ttl), nil, nil
 	}
 	// Held (or hand-off pending). Decide admission.
 	var refusal error
 	switch {
-	case t.fb:
-		// Degraded: shed-load mode, no queueing at all.
+	case sh.degraded:
+		// Shed-load mode: no queueing at all.
 		sh.counters.DegradedSheds++
 		refusal = ErrShed
-	case !opt.Wait:
+	case !wait:
 		sh.counters.NoWaitBusy++
 		refusal = ErrNoWait
-	case sh.queued >= s.cfg.QueueDepth:
+	case sh.queued >= sh.svc.cfg.QueueDepth:
 		// Backpressure: the bounded admission queue deflects the
 		// request instead of letting it pile on the resource.
 		sh.counters.QueueFullSheds++
@@ -734,19 +734,12 @@ func (s *Service) Acquire(resourceName, owner string, opt AcquireOptions) (Lease
 	}
 	if refusal != nil {
 		sh.gcLocked(r)
-		sh.unlockShard(t)
-		s.queueExpiryCallbacks(expired)
-		s.runCallbacks()
-		return Lease{}, refusal
+		return Lease{}, nil, refusal
 	}
-
 	w := &waiter{owner: owner, ttl: ttl, enq: now, grant: make(chan grantResult, 1)}
 	r.q = append(r.q, w)
 	sh.queued++
-	sh.unlockShard(t)
-	s.queueExpiryCallbacks(expired)
-	s.runCallbacks()
-	return s.await(sh, resourceName, w, opt)
+	return Lease{}, w, nil
 }
 
 // await parks a queued waiter until grant, flush, or timeout.
@@ -784,30 +777,23 @@ func (s *Service) await(sh *shard, resourceName string, w *waiter, opt AcquireOp
 
 // tryClaim is the broadcast waiter's re-contention step: claim the
 // resource if it is free, otherwise record a wasted wake-up and keep
-// waiting.
+// waiting. A waiter that is no longer queued was handed a lease by a
+// migration to hand-off since the wake-up was sent; it claims nothing and
+// goes back to take that lease from its grant channel, even if the
+// lease has ended since.
 func (s *Service) tryClaim(sh *shard, resourceName string, w *waiter) (Lease, bool, error) {
 	now := s.clock.Now()
-	t := sh.lockShard()
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	if w.flushed {
-		err := w.flushErr
-		sh.unlockShard(t)
-		return Lease{}, true, err
+		return Lease{}, true, w.flushErr
 	}
-	r := sh.res[resourceName]
-	if r == nil {
-		// The resource entry was collected, so it is free; recreate.
-		r = sh.resourceLocked(resourceName)
-	}
-	if r.holder == nil {
-		removeWaiter(sh, r, w)
-		lease := s.newLeaseLocked(sh, r, w.owner, now, w.ttl)
+	if r := sh.res[resourceName]; r != nil && r.holder == nil && removeWaiter(sh, r, w) {
 		sh.counters.BroadcastClaims++
 		sh.grantWait.Add(uint64(now.Sub(w.enq)))
-		sh.unlockShard(t)
-		return lease, true, nil
+		return sh.newLeaseLocked(r, w.owner, now, w.ttl), true, nil
 	}
 	sh.counters.WastedWakeups++
-	sh.unlockShard(t)
 	return Lease{}, false, nil
 }
 
@@ -815,7 +801,7 @@ func (s *Service) tryClaim(sh *shard, resourceName string, w *waiter) (Lease, bo
 // granted or flushed (the message raced the timeout), the pending
 // outcome is consumed and returned instead.
 func (s *Service) abandonWait(sh *shard, resourceName string, w *waiter) (Lease, bool, error) {
-	t := sh.lockShard()
+	sh.mu.Lock()
 	removed := false
 	if !w.flushed {
 		if r := sh.res[resourceName]; r != nil {
@@ -826,7 +812,7 @@ func (s *Service) abandonWait(sh *shard, resourceName string, w *waiter) (Lease,
 	if removed {
 		sh.counters.Timeouts++
 	}
-	sh.unlockShard(t)
+	sh.mu.Unlock()
 	if removed {
 		return Lease{}, false, nil
 	}
@@ -863,7 +849,7 @@ func removeWaiter(sh *shard, r *resource, w *waiter) bool {
 // lease reports ErrLeaseExpired, a revoked one ErrRevoked, anything else
 // ErrNotHeld.
 func (s *Service) Release(resourceName string, token uint64) error {
-	return s.release(resourceName, token, 0)
+	return s.ReleaseFenced(resourceName, token, 0)
 }
 
 // ReleaseFenced ends a lease by token, additionally validated against
@@ -872,59 +858,28 @@ func (s *Service) Release(resourceName string, token uint64) error {
 // verdict a zombie client gets even after the gone-ring has forgotten
 // its token, because the per-resource fence counter is never reset.
 func (s *Service) ReleaseFenced(resourceName string, token, fence uint64) error {
-	return s.release(resourceName, token, fence)
-}
-
-func (s *Service) release(resourceName string, token, fence uint64) error {
 	if s.closed.Load() {
 		return ErrClosed
 	}
 	sh := s.shardFor(resourceName)
-	now := s.clock.Now()
-
-	t := sh.lockShard()
-	// Expire first: a release racing its own deadline resolves to the
-	// typed expiry, never to a silent double-release.
-	expired := s.expireDueLocked(sh, now)
-	t = sh.watchdogLocked(t, now)
-	var err error
+	// enter expires first: a release racing its own deadline resolves to
+	// the typed expiry, never to a silent double-release.
+	now := sh.enter()
 	r := sh.res[resourceName]
-	switch {
-	case r == nil || r.holder == nil || r.holder.lease.Token != token:
-		if cause, ok := sh.gone[token]; ok {
-			err = cause
-		} else if fence != 0 && fence < sh.fences[resourceName] {
-			err = ErrFenced
-			sh.counters.FencedRejects++
-		} else {
-			err = ErrNotHeld
-		}
+	err := sh.verdictLocked(r, resourceName, token, fence)
+	if err == nil {
+		sh.endLeaseLocked(r, nil, now)
+	} else {
 		sh.counters.BadReleases++
-	case fence != 0 && r.holder.lease.Fence != fence:
-		// The token matches but the fence claim does not: a confused
-		// client must not release a lease it cannot prove is its own.
-		err = ErrFenced
-		sh.counters.FencedRejects++
-		sh.counters.BadReleases++
-	default:
-		sh.counters.Releases++
-		sh.hold.Add(uint64(now.Sub(r.holder.grantedAt)))
-		r.holder = nil
-		sh.live--
-		s.grantNextLocked(sh, r, now)
 	}
-	sh.unlockShard(t)
-	s.queueExpiryCallbacks(expired)
-	s.runCallbacks()
+	sh.leave()
 	return err
 }
 
 // Resume re-validates a lease after a reconnect: if token still holds
 // the resource the live lease is returned and the client may carry on;
-// otherwise the typed reason it cannot — ErrLeaseExpired / ErrRevoked
-// while the gone-ring remembers the token, ErrFenced when the fence
-// claim is provably stale, ErrNotHeld otherwise. Resume never mutates
-// lease state: it is safe to call any number of times.
+// otherwise the typed reason it cannot (see verdictLocked). Resume never
+// mutates lease state: it is safe to call any number of times.
 func (s *Service) Resume(resourceName string, token, fence uint64) (Lease, error) {
 	if resourceName == "" {
 		return Lease{}, configErrf("empty resource name")
@@ -933,37 +888,15 @@ func (s *Service) Resume(resourceName string, token, fence uint64) (Lease, error
 		return Lease{}, ErrClosed
 	}
 	sh := s.shardFor(resourceName)
-	now := s.clock.Now()
-
-	t := sh.lockShard()
-	// Expire first so a resume racing its own deadline sees the typed
-	// expiry, never a lease that is about to vanish.
-	expired := s.expireDueLocked(sh, now)
+	sh.enter()
 	var lease Lease
-	var err error
 	r := sh.res[resourceName]
-	switch {
-	case r != nil && r.holder != nil && r.holder.lease.Token == token:
-		if fence != 0 && r.holder.lease.Fence != fence {
-			err = ErrFenced
-			sh.counters.FencedRejects++
-		} else {
-			lease = r.holder.lease
-			sh.counters.Resumes++
-		}
-	default:
-		if cause, ok := sh.gone[token]; ok {
-			err = cause
-		} else if fence != 0 && fence < sh.fences[resourceName] {
-			err = ErrFenced
-			sh.counters.FencedRejects++
-		} else {
-			err = ErrNotHeld
-		}
+	err := sh.verdictLocked(r, resourceName, token, fence)
+	if err == nil {
+		lease = r.holder.lease
+		sh.counters.Resumes++
 	}
-	sh.unlockShard(t)
-	s.queueExpiryCallbacks(expired)
-	s.runCallbacks()
+	sh.leave()
 	return lease, err
 }
 
@@ -976,44 +909,27 @@ func (s *Service) Revoke(resourceName string) (Lease, bool, error) {
 		return Lease{}, false, ErrClosed
 	}
 	sh := s.shardFor(resourceName)
-	now := s.clock.Now()
-
-	t := sh.lockShard()
-	expired := s.expireDueLocked(sh, now)
+	now := sh.enter()
+	var lease Lease
 	r := sh.res[resourceName]
-	if r == nil || r.holder == nil {
-		sh.unlockShard(t)
-		s.queueExpiryCallbacks(expired)
-		s.runCallbacks()
-		return Lease{}, false, nil
+	held := r != nil && r.holder != nil
+	if held {
+		lease = sh.endLeaseLocked(r, ErrRevoked, now)
 	}
-	lease := r.holder.lease
-	r.holder = nil
-	sh.live--
-	sh.rememberGone(lease.Token, ErrRevoked)
-	sh.counters.Revocations++
-	s.grantNextLocked(sh, r, now)
-	sh.unlockShard(t)
-	s.queueExpiryCallbacks(expired)
-	s.runCallbacks()
-	return lease, true, nil
+	sh.leave()
+	return lease, held, nil
 }
 
 // SweepExpired reclaims every due lease across all shards and runs the
 // starvation watchdog; it returns how many leases expired. The
 // background sweeper calls it; tests with NoSweeper call it manually.
 func (s *Service) SweepExpired() int {
-	now := s.clock.Now()
 	total := 0
 	for _, sh := range s.shards {
-		t := sh.lockShard()
-		expired := s.expireDueLocked(sh, now)
-		t = sh.watchdogLocked(t, now)
-		sh.unlockShard(t)
-		total += len(expired)
-		s.queueExpiryCallbacks(expired)
+		sh.enter()
+		total += len(sh.expired)
+		sh.leave()
 	}
-	s.runCallbacks()
 	return total
 }
 
@@ -1028,13 +944,13 @@ func (s *Service) sweeper() {
 		nap := maxNap
 		now := s.clock.Now()
 		for _, sh := range s.shards {
-			t := sh.lockShard()
+			sh.mu.Lock()
 			if len(sh.heap) > 0 {
-				if d := time.Duration(sh.heap[0].deadline - now.UnixNano()); d < nap {
+				if d := sh.heap[0].lease.Deadline.Sub(now); d < nap {
 					nap = d
 				}
 			}
-			sh.unlockShard(t)
+			sh.mu.Unlock()
 		}
 		if nap < minNap {
 			nap = minNap
@@ -1058,9 +974,9 @@ func (s *Service) Draining() bool { return s.draining.Load() }
 func (s *Service) liveLeaseCount() int {
 	total := 0
 	for _, sh := range s.shards {
-		t := sh.lockShard()
+		sh.mu.Lock()
 		total += sh.live
-		sh.unlockShard(t)
+		sh.mu.Unlock()
 	}
 	return total
 }
@@ -1081,12 +997,11 @@ func (s *Service) Drain(grace time.Duration) error {
 		return nil
 	}
 	for _, sh := range s.shards {
-		t := sh.lockShard()
+		sh.mu.Lock()
 		sh.epoch++
 		sh.flushWaitersLocked(ErrDraining)
-		sh.unlockShard(t)
+		sh.mu.Unlock()
 	}
-	s.runCallbacks()
 
 	// Grace: let holders release (or their leases expire) before the
 	// revoke pass. The deadline timer rides the service clock so
@@ -1117,24 +1032,14 @@ func (s *Service) Drain(grace time.Duration) error {
 	// leases; conservation stays intact (each straggler moves from Live
 	// to Revocations).
 	for _, sh := range s.shards {
-		t := sh.lockShard()
-		now := s.clock.Now()
-		expired := s.expireDueLocked(sh, now)
+		now := sh.enter()
 		for _, r := range sh.res {
-			if r.holder == nil {
-				continue
+			if r.holder != nil {
+				sh.endLeaseLocked(r, ErrRevoked, now)
 			}
-			lease := r.holder.lease
-			r.holder = nil
-			sh.live--
-			sh.rememberGone(lease.Token, ErrRevoked)
-			sh.counters.Revocations++
-			sh.gcLocked(r)
 		}
-		sh.unlockShard(t)
-		s.queueExpiryCallbacks(expired)
+		sh.leave()
 	}
-	s.runCallbacks()
 	return nil
 }
 
@@ -1153,10 +1058,9 @@ func (s *Service) Close() error {
 		<-s.sweeperDone
 	}
 	for _, sh := range s.shards {
-		t := sh.lockShard()
+		sh.mu.Lock()
 		sh.flushWaitersLocked(ErrClosed)
-		sh.unlockShard(t)
+		sh.mu.Unlock()
 	}
-	s.runCallbacks()
 	return nil
 }

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -137,12 +139,12 @@ func waitQueued(t *testing.T, s *Service, res string, n int) {
 	sh := s.shardFor(res)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		tok := sh.lockShard()
+		sh.mu.Lock()
 		q := 0
 		if r := sh.res[res]; r != nil {
 			q = len(r.q)
 		}
-		sh.unlockShard(tok)
+		sh.mu.Unlock()
 		if q >= n {
 			return
 		}
@@ -341,8 +343,8 @@ func TestRevoke(t *testing.T) {
 
 // TestStarvationDegrade pins the watchdog → degrade path: an over-aged
 // waiter degrades the shard, queued waiters are flushed typed, new
-// requests are shed, and the shard keeps serving immediate grants under
-// the fallback mutex.
+// requests are shed, and the shard keeps serving immediate grants in
+// shed-load mode.
 func TestStarvationDegrade(t *testing.T) {
 	var degraded []string
 	var mu sync.Mutex
@@ -379,7 +381,7 @@ func TestStarvationDegrade(t *testing.T) {
 	if _, err := s.Acquire("r", "late", AcquireOptions{Wait: true}); !errors.Is(err, ErrShed) {
 		t.Fatalf("degraded acquire of held resource: %v, want ErrShed", err)
 	}
-	// But still serves free resources (plain-mutex path).
+	// But still serves free resources.
 	l2, err := s.Acquire("other", "ok", AcquireOptions{})
 	if err != nil {
 		t.Fatalf("degraded immediate grant: %v", err)
@@ -401,52 +403,49 @@ func TestStarvationDegrade(t *testing.T) {
 	}
 }
 
-// TestDegradedExclusion hammers a degraded shard and a clean shard
-// concurrently with a plain counter per resource; the race detector and
-// the counts are the oracle that the primitive→fallback guard swap
-// never breaks mutual exclusion.
+// TestDegradedExclusion hammers one shard through both mode flips —
+// the watchdog degrades it mid-traffic, RestoreShard brings it back, and
+// a second starved waiter degrades it again — for every lock kind. Every
+// granted lease brackets an unsynchronized per-resource counter, so the
+// race detector and the counts are the oracle that the shard's one guard
+// and its leases keep mutual exclusion across the flips.
 func TestDegradedExclusion(t *testing.T) {
 	for _, kind := range locks.Kinds() {
 		t.Run(string(kind), func(t *testing.T) {
+			var degrades atomic.Int64
 			s, clk := newTestService(t, func(c *Config) {
 				c.Shards = 1
 				c.Lock = kind
 				c.StarvationBound = time.Second
 				c.QueueDepth = 64
+				c.OnDegrade = func(int, string) { degrades.Add(1) }
 			})
-			// Degrade the shard mid-traffic: a hog plus a starved waiter.
 			hog, err := s.Acquire("hog", "hog", AcquireOptions{TTL: time.Minute})
 			if err != nil {
 				t.Fatal(err)
 			}
-			go s.Acquire("hog", "starved", AcquireOptions{Wait: true})
-			waitQueued(t, s, "hog", 1)
-
-			const goroutines, ops = 8, 300
-			counters := make([]uint64, goroutines) // per-goroutine, summed later
-			var grants uint64
-			var gmu sync.Mutex
+			// The hammer: every granted lease brackets a plain increment.
+			var plain [2]uint64 // one per resource, written only under its lease
+			var grants atomic.Uint64
+			stop := make(chan struct{})
 			var wg sync.WaitGroup
-			for g := 0; g < goroutines; g++ {
+			for g := 0; g < 8; g++ {
 				wg.Add(1)
 				go func(g int) {
 					defer wg.Done()
 					res := fmt.Sprintf("res%d", g%2)
-					for i := 0; i < ops; i++ {
-						if i == ops/2 && g == 0 {
-							// Trip the watchdog mid-hammer, whether or not this
-							// iteration's acquire goes on to be refused.
-							clk.Advance(2 * time.Second)
-							s.SweepExpired()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
 						}
 						l, err := s.Acquire(res, "w", AcquireOptions{TTL: time.Minute})
 						if err != nil {
-							continue // busy: fine, we only count held work
+							continue // busy or shed: fine, we only count held work
 						}
-						counters[g]++
-						gmu.Lock()
-						grants++
-						gmu.Unlock()
+						plain[g%2]++
+						grants.Add(1)
 						if err := s.Release(res, l.Token); err != nil {
 							t.Errorf("release: %v", err)
 							return
@@ -454,20 +453,181 @@ func TestDegradedExclusion(t *testing.T) {
 					}
 				}(g)
 			}
+			// hammered lets the traffic run on in the current mode.
+			hammered := func() {
+				t.Helper()
+				deadline := time.Now().Add(10 * time.Second)
+				for target := grants.Load() + 300; grants.Load() < target; runtime.Gosched() {
+					if time.Now().After(deadline) {
+						t.Fatal("hammer stalled")
+					}
+				}
+			}
+			// starve queues a waiter behind the hog and trips the watchdog
+			// on it: the shard degrades mid-hammer.
+			starve := func() {
+				t.Helper()
+				flushed := make(chan error, 1)
+				go func() {
+					_, err := s.Acquire("hog", "starved", AcquireOptions{Wait: true})
+					flushed <- err
+				}()
+				waitQueued(t, s, "hog", 1)
+				clk.Advance(2 * time.Second)
+				s.SweepExpired()
+				if err := <-flushed; !errors.Is(err, ErrDegraded) {
+					t.Fatalf("starved waiter: %v, want ErrDegraded", err)
+				}
+			}
+			hammered()
+			starve()
+			hammered()
+			if err := s.RestoreShard(0); err != nil {
+				t.Fatal(err)
+			}
+			hammered()
+			starve()
+			hammered()
+			close(stop)
 			wg.Wait()
-			if !s.shards[0].degraded.Load() {
-				t.Fatal("shard never degraded")
+			snap := s.Snapshot()
+			if snap.Totals.Degrades != 2 || snap.Totals.Restores != 1 || snap.Degraded != 1 || degrades.Load() != 2 {
+				t.Fatalf("degrades=%d restores=%d degraded shards=%d OnDegrade calls=%d, want 2/1/1/2",
+					snap.Totals.Degrades, snap.Totals.Restores, snap.Degraded, degrades.Load())
 			}
-			var sum uint64
-			for _, c := range counters {
-				sum += c
+			if sum := plain[0] + plain[1]; sum != grants.Load() {
+				t.Fatalf("counted %d grants under lease, recorded %d", sum, grants.Load())
 			}
-			if sum != grants {
-				t.Fatalf("counted %d grants, recorded %d", sum, grants)
+			if err := s.Release("hog", hog.Token); err != nil {
+				t.Fatal(err)
 			}
-			s.Release("hog", hog.Token)
+			checkConservation(t, s, "after the flips")
 		})
 	}
+}
+
+// TestCallbacksRunUnguarded pins leave's contract: OnExpire and
+// OnDegrade run with no shard guard held — each re-enters the shard it
+// was raised on, which would self-deadlock under the guard — and exactly
+// once per event.
+func TestCallbacksRunUnguarded(t *testing.T) {
+	var s *Service
+	var expired, degraded []string
+	reenter := func() {
+		// Snapshot takes every shard's guard; Acquire runs a full
+		// enter/leave on the (only) shard the event came from.
+		s.Snapshot()
+		l, err := s.Acquire("callback", "cb", AcquireOptions{})
+		if err != nil {
+			t.Errorf("acquire from callback: %v", err)
+			return
+		}
+		if err := s.Release("callback", l.Token); err != nil {
+			t.Errorf("release from callback: %v", err)
+		}
+	}
+	s, clk := newTestService(t, func(c *Config) {
+		c.Shards = 1
+		c.StarvationBound = 3 * time.Second
+		c.OnExpire = func(l Lease) { expired = append(expired, l.Resource); reenter() }
+		c.OnDegrade = func(sh int, _ string) { degraded = append(degraded, fmt.Sprint(sh)); reenter() }
+	})
+	for _, res := range []string{"a", "b"} {
+		if _, err := s.Acquire(res, "crasher", AcquireOptions{TTL: time.Second}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hog, err := s.Acquire("hog", "hog", AcquireOptions{TTL: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flushed := make(chan error, 1)
+	go func() {
+		_, err := s.Acquire("hog", "starved", AcquireOptions{Wait: true})
+		flushed <- err
+	}()
+	waitQueued(t, s, "hog", 1)
+
+	// One operation's enter both expires a and b and trips the watchdog;
+	// its leave owes three callbacks. A Release raises them as well as a
+	// sweep does.
+	clk.Advance(4 * time.Second)
+	done := make(chan error, 1)
+	go func() { done <- s.Release("hog", hog.Token) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("release: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("deadlock: a callback re-entered the shard under its guard")
+	}
+	if err := <-flushed; !errors.Is(err, ErrDegraded) {
+		t.Fatalf("starved waiter: %v, want ErrDegraded", err)
+	}
+	s.SweepExpired() // nothing left to report
+	sort.Strings(expired)
+	if fmt.Sprint(expired) != "[a b]" || fmt.Sprint(degraded) != "[0]" {
+		t.Fatalf("OnExpire for %v, OnDegrade for %v; want [a b] and [0], once each", expired, degraded)
+	}
+}
+
+// TestExpiryHeapHoldsLiveLeasesOnly pins the bound on the expiry heap:
+// it holds the live leases and nothing else, however many were granted
+// and released before their (long) deadline — at the parent of this test
+// a released lease's entry stayed until its deadline — and the survivors
+// still expire in deadline order, exactly once each.
+func TestExpiryHeapHoldsLiveLeasesOnly(t *testing.T) {
+	var order []string
+	s, clk := newTestService(t, func(c *Config) {
+		c.Shards = 1
+		c.MaxTTL = time.Hour
+		c.OnExpire = func(l Lease) { order = append(order, l.Resource) }
+	})
+	sh := s.shards[0]
+	heapLen := func() int {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		return len(sh.heap)
+	}
+	// Survivors, granted out of deadline order.
+	for _, res := range []string{"s3", "s1", "s2"} {
+		ttl := time.Duration(res[1]-'0') * 10 * time.Minute
+		if _, err := s.Acquire(res, "keeper", AcquireOptions{TTL: ttl}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10_000; i++ {
+		res := fmt.Sprintf("churn%d", i%7)
+		l, err := s.Acquire(res, "churner", AcquireOptions{TTL: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%100 == 0 {
+			// Revocation ends a lease early too.
+			if _, ok, err := s.Revoke(res); !ok || err != nil {
+				t.Fatalf("revoke %s: %v %v", res, ok, err)
+			}
+		} else if err := s.Release(res, l.Token); err != nil {
+			t.Fatal(err)
+		}
+		if n := heapLen(); n != 3 {
+			t.Fatalf("after %d grants the heap holds %d entries for 3 live leases", i+1, n)
+		}
+	}
+	for i, want := range []string{"s1", "s2", "s3"} {
+		clk.Advance(10 * time.Minute)
+		if n := s.SweepExpired(); n != 1 {
+			t.Fatalf("sweep %d expired %d leases, want 1", i, n)
+		}
+		if order[len(order)-1] != want || heapLen() != 2-i {
+			t.Fatalf("sweep %d: expired %v (want %s last), heap %d", i, order, want, heapLen())
+		}
+	}
+	if s.SweepExpired() != 0 || len(order) != 3 {
+		t.Fatalf("expiries %v, want s1 s2 s3 once each", order)
+	}
+	checkConservation(t, s, "after churn")
 }
 
 // TestCloseFlushesWaiters pins shutdown: queued waiters get ErrClosed,
@@ -506,20 +666,14 @@ func TestCloseFlushesWaiters(t *testing.T) {
 	}
 }
 
-// TestPerShardPrimitives pins the per-shard lock selection.
+// TestPerShardPrimitives pins the shard guard selection and the typed
+// rejection of a bad Config.
 func TestPerShardPrimitives(t *testing.T) {
-	s, _ := newTestService(t, func(c *Config) {
-		c.Shards = 5
-		c.Locks = locks.Kinds()
-	})
-	snap := s.Snapshot()
-	for i, k := range locks.Kinds() {
-		if snap.Shards[i].Lock != string(k) {
-			t.Fatalf("shard %d lock = %q, want %q", i, snap.Shards[i].Lock, k)
+	s, _ := newTestService(t, func(c *Config) { c.Lock = locks.KindTicket })
+	for _, sh := range s.Snapshot().Shards {
+		if sh.Lock != string(locks.KindTicket) {
+			t.Fatalf("shard %d lock = %q, want %q", sh.Shard, sh.Lock, locks.KindTicket)
 		}
-	}
-	if _, err := New(Config{Shards: 2, Locks: []locks.Kind{locks.KindTTS}}); err == nil {
-		t.Fatal("mismatched per-shard lock list accepted")
 	}
 	var ce *ConfigError
 	_, err := New(Config{Shards: -1})

@@ -1,6 +1,8 @@
 package service
 
 import (
+	"fmt"
+
 	"iqolb/internal/adaptive"
 	"iqolb/internal/stats"
 )
@@ -121,6 +123,19 @@ type Snapshot struct {
 	Degraded    int             `json:"degraded_shards"`
 }
 
+// Conserved checks lease conservation: every lease ever granted is
+// exactly one of released, expired, revoked or live. A shard's counters
+// move in the critical section that grants or ends the lease and are
+// captured in one, so the identity holds exactly, under traffic too.
+func (s *Snapshot) Conserved() error {
+	t := s.Totals
+	if t.Grants != t.Releases+t.Expiries+t.Revocations+uint64(s.LiveLeases) {
+		return fmt.Errorf("grants=%d != releases=%d + expiries=%d + revocations=%d + live=%d",
+			t.Grants, t.Releases, t.Expiries, t.Revocations, s.LiveLeases)
+	}
+	return nil
+}
+
 // Snapshot captures the current service state.
 func (s *Service) Snapshot() *Snapshot {
 	snap := &Snapshot{
@@ -130,13 +145,13 @@ func (s *Service) Snapshot() *Snapshot {
 		Shards:        make([]ShardSnapshot, len(s.shards)),
 	}
 	for i, sh := range s.shards {
-		t := sh.lockShard()
+		sh.mu.Lock()
 		ss := ShardSnapshot{
 			Shard:         i,
 			Lock:          sh.mu.Name(),
 			Policy:        string(sh.policy),
 			Epoch:         sh.epoch,
-			Degraded:      t.fb,
+			Degraded:      sh.degraded,
 			DegradeReason: sh.degradeReason,
 			Queued:        sh.queued,
 			LiveLeases:    sh.live,
@@ -144,7 +159,7 @@ func (s *Service) Snapshot() *Snapshot {
 		}
 		ss.GrantWaitNS.Merge(&sh.grantWait)
 		ss.HoldNS.Merge(&sh.hold)
-		sh.unlockShard(t)
+		sh.mu.Unlock()
 		snap.Shards[i] = ss
 		snap.Totals.add(ss.Counters)
 		snap.GrantWaitNS.Merge(&ss.GrantWaitNS)
