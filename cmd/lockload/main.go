@@ -26,8 +26,9 @@
 // acquire/release pairs with no think time, the (window=1, flush=0)
 // cell being the one-in-flight baseline the other rows' speedups are
 // computed against. The artifact defaults to BENCH_throughput.json and
-// shows the paper's trade directly: the coalescing flush delay buys
-// ops/s and costs p50.
+// shows what coalescing buys at each window; a flush delay is the upper
+// bound on a hold that ends when the connection goes quiet, so a window
+// of 1 pays a hand-off for it, not the delay.
 //
 // With -chaos the run is the network-fault campaign instead: every
 // fault kind in -chaos-kinds crossed with every seed in -chaos-seeds,
@@ -74,7 +75,7 @@ func main() {
 		chaosWin   = flag.Int("chaos-window", 1, "pipelining window for -chaos clients (1 = lock-step)")
 		tput       = flag.Bool("throughput", false, "run the open-loop pipelined throughput sweep instead of a benchmark")
 		windows    = flag.String("windows", "1,4,16,64", "comma-separated per-connection in-flight windows for -throughput (1 = lock-step baseline)")
-		flushList  = flag.String("flush-delays", "0s,50us,200us", "comma-separated write-coalescing flush delays for -throughput")
+		flushList  = flag.String("flush-delays", "0s,50us,200us", "comma-separated write-coalescing flush delays for -throughput: each is the upper bound on a hold that ends when the connection goes quiet (0s = write through)")
 		opsPer     = flag.Int("ops", 2000, "acquire+release pairs per connection for -throughput")
 		resources  = flag.Int("resources", 0, "shared resource pool for -throughput (0 = a private resource per worker: pure wire-path measurement)")
 		out        = flag.String("o", "", `artifact path (default BENCH_service.json, BENCH_adaptive.json with -phases, or BENCH_chaos.json with -chaos; "none" disables)`)

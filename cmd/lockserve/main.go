@@ -19,11 +19,12 @@
 // and the shutdown snapshot includes a "controller" block.
 //
 // The serving hot path pipelines: wire-v3 clients carry up to -window
-// concurrent requests per connection, and -flush-delay holds each
-// response socket briefly so completions batch into one write syscall
-// (delay-inserted write coalescing — the paper's throughput-for-p50
-// trade on the transmit path). -pprof serves net/http/pprof for
-// profiling the hot path under load.
+// concurrent requests per connection, and a positive -flush-delay
+// coalesces each connection's responses: completions batch into one
+// write syscall, held until the connection goes quiet and for
+// -flush-delay at most (the paper's inserted delay on the transmit
+// path, ended by an event and bounded by a time-out). -pprof serves
+// net/http/pprof for profiling the hot path under load.
 //
 // The bound address is printed on stdout ("listening on <addr>") so
 // harnesses can use :0 and scrape the port. SIGINT/SIGTERM shut down
@@ -55,20 +56,20 @@ import (
 
 func main() {
 	var (
-		addr      = flag.String("addr", "127.0.0.1:7007", "TCP listen address (use :0 for an ephemeral port)")
-		shards    = flag.Int("shards", 8, "number of resource shards")
-		lockKind  = flag.String("lock", "mcs", "shard guard primitive (tts ticket mcs clh adaptive)")
-		policy    = flag.String("policy", "handoff", `grant policy: "handoff" (direct transfer) or "broadcast" (wake all, re-contend)`)
-		queue     = flag.Int("queue", 64, "bounded admission queue depth per shard")
-		ttl       = flag.Duration("ttl", 5*time.Second, "default lease TTL")
-		maxTTL    = flag.Duration("max-ttl", 60*time.Second, "maximum client-requested TTL")
-		starve    = flag.Duration("starvation-bound", 10*time.Second, "oldest-waiter age that degrades a shard (<0 disables)")
+		addr       = flag.String("addr", "127.0.0.1:7007", "TCP listen address (use :0 for an ephemeral port)")
+		shards     = flag.Int("shards", 8, "number of resource shards")
+		lockKind   = flag.String("lock", "mcs", "shard guard primitive (tts ticket mcs clh adaptive)")
+		policy     = flag.String("policy", "handoff", `grant policy: "handoff" (direct transfer) or "broadcast" (wake all, re-contend)`)
+		queue      = flag.Int("queue", 64, "bounded admission queue depth per shard")
+		ttl        = flag.Duration("ttl", 5*time.Second, "default lease TTL")
+		maxTTL     = flag.Duration("max-ttl", 60*time.Second, "maximum client-requested TTL")
+		starve     = flag.Duration("starvation-bound", 10*time.Second, "oldest-waiter age that degrades a shard (<0 disables)")
 		adapt      = flag.Bool("adaptive", false, "run the contention controller (live per-shard policy migration + lock tuning)")
 		ctrlEvery  = flag.Duration("adaptive-interval", 25*time.Millisecond, "controller sampling period (with -adaptive)")
 		drainGrace = flag.Duration("drain-grace", 2*time.Second, "graceful-drain window on SIGINT/SIGTERM: live leases get this long to release before revocation (0 = immediate close)")
 		idleConn   = flag.Duration("idle-timeout", 2*time.Minute, "reap connections idle this long (half-open peers included; 0 = never)")
 		retryAfter = flag.Duration("retry-after", 2*time.Millisecond, "retry-after hint attached to shed-class refusals (0 = no hint)")
-		flushDelay = flag.Duration("flush-delay", 0, "hold each connection's response socket up to this long to coalesce frames into one write syscall (0 = write through)")
+		flushDelay = flag.Duration("flush-delay", 0, "coalesce each connection's response frames into one write syscall: held until the connection goes quiet, this long at most (0 = write through)")
 		window     = flag.Int("window", service.DefaultWindow, "max concurrently-executing pipelined (wire v3) requests per connection")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty = off)")
 		statsDump  = flag.Bool("stats", true, "print a JSON counter snapshot to stderr on shutdown")

@@ -3,10 +3,11 @@
 // RunThroughput saturates the wire itself — each connection carries a
 // window of concurrent ops, optionally coalesced by the delay-inserted
 // flush writer on both ends. Sweeping window × flush-delay is the
-// serving-path rendition of the paper's experiment: the inserted delay
-// costs p50 (frames wait in the coalescing buffer) and buys throughput
-// (fewer, fuller syscalls), and the committed BENCH_throughput.json
-// shows the trade explicitly.
+// serving-path rendition of the paper's experiment: the inserted hold
+// buys throughput (fewer, fuller syscalls) where a window keeps frames
+// coming, ends as soon as the connection goes quiet where it does not,
+// and the flush delay only bounds it; the committed
+// BENCH_throughput.json shows every cell.
 package loadgen
 
 import (
@@ -27,8 +28,8 @@ type ThroughputConfig struct {
 	// Window is the per-connection in-flight cap; 1 = the lock-step
 	// one-in-flight baseline (no pipelining at all).
 	Window int `json:"window"`
-	// FlushDelay is the write-coalescing hold applied on BOTH ends
-	// (0 = write through).
+	// FlushDelay turns on write coalescing on BOTH ends and bounds its
+	// hold (0 = write through).
 	FlushDelay time.Duration `json:"flush_delay_ns"`
 	// OpsPerClient is the acquire+release pairs each connection issues;
 	// the op schedule is seed-deterministic even though timing is not.

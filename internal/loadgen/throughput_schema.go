@@ -86,6 +86,6 @@ func RenderThroughput(results []ThroughputResult) string {
 			fmt.Sprintf("%.0f", r.OpP50), fmt.Sprintf("%.0f", r.OpP99),
 			fmt.Sprintf("%.0f", r.OpP999), speedup)
 	}
-	t.Note("window 1 + flush-delay 0 is the one-in-flight baseline; the flush delay trades p50 for syscall coalescing (the paper's delay-insertion move on the transmit path)")
+	t.Note("window 1 + flush-delay 0 is the one-in-flight baseline; a flush delay turns on syscall coalescing and bounds its hold, which ends when the connection goes quiet (the paper's delay-insertion move on the transmit path)")
 	return t.String()
 }

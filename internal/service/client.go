@@ -110,11 +110,12 @@ func (c *Client) SetOpTimeout(d time.Duration) {
 // Pipeline switches the client to pipelined mode: WireVersion3 frames, up to
 // `window` requests in flight at once on the one connection (0 =
 // DefaultWindow), responses demultiplexed by request ID. flushDelay > 0
-// additionally coalesces request frames — the socket is held up to that
-// long so concurrent ops' frames batch into one write syscall (the
-// delay-insertion trade: p50 for throughput). Pipeline must be called
-// before the client is shared across goroutines and cannot be undone on
-// this connection.
+// additionally coalesces request frames: they are held while other
+// goroutines are still sending on this client, so concurrent ops' frames
+// leave in one write syscall. The hold ends when the senders go quiet —
+// a lone op is written at once — and flushDelay is only the upper bound
+// on it. Pipeline must be called before the client is shared across
+// goroutines and cannot be undone on this connection.
 func (c *Client) Pipeline(window int, flushDelay time.Duration) error {
 	if window <= 0 {
 		window = DefaultWindow
@@ -379,19 +380,24 @@ func (p *clientPipeline) deregister(id uint64) bool {
 }
 
 // fail marks the pipeline dead, wakes every in-flight op by closing
-// its reply channel, and stops the watchdog; subsequent ops fail fast
-// at registration.
+// its reply channel, and stops the watchdog and the flusher; subsequent
+// ops fail fast at registration. The flusher is stopped after the mutex
+// is released: its last flush is a socket write, and ops must be able
+// to fail at registration while it is in progress.
 func (p *clientPipeline) fail(err error) {
 	p.mu.Lock()
-	if p.err == nil {
-		p.err = err
-		close(p.stopc)
-		for id, po := range p.pending {
-			delete(p.pending, id)
-			close(po.ch)
-		}
+	if p.err != nil {
+		p.mu.Unlock()
+		return
+	}
+	p.err = err
+	close(p.stopc)
+	for id, po := range p.pending {
+		delete(p.pending, id)
+		close(po.ch)
 	}
 	p.mu.Unlock()
+	p.fw.Close()
 }
 
 // readLoop is the router: one decoder, one reader goroutine for the

@@ -3,17 +3,24 @@ package service
 import (
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"time"
 )
 
 // flushWriter is the delay-inserted write coalescer: frames written
 // while the flusher is holding the socket are batched into one Write
-// syscall. The delay is the paper's move applied to the transmit path —
-// deliberately NOT sending for up to `delay` raises throughput (fewer
-// syscalls, fuller packets) at a bounded cost to p50 latency. A delay
-// of zero writes through immediately, reproducing the uncoalesced
-// behavior byte for byte.
+// syscall. The hold is the paper's move applied to the transmit path —
+// deliberately NOT sending yet raises throughput (fewer syscalls, fuller
+// packets) — and it ends the way the paper's delayed response does: on
+// an event, with the time-out only as the safety bound. The flusher
+// yields to the scheduler after a batch's first frame and keeps yielding
+// while each yield sees more frames appended; it writes at the first of
+// quiescence (one yield during which nothing was appended: every
+// goroutine about to send on this connection has), coalesceThreshold
+// pending bytes, or `delay` elapsed. An idle connection therefore pays a
+// hand-off to the flusher, not the delay; a busy one batches. A delay of
+// zero writes through immediately, with no flusher at all.
 //
 // Concurrent WriteFrame calls are safe; each frame is written whole
 // (never interleaved). Buffered bytes are flushed by Close, so a frame
@@ -33,16 +40,15 @@ type flushWriter struct {
 	err    error  // first write error, sticky
 	closed bool
 
-	kick   chan struct{} // first-frame-since-flush signal, cap 1
-	urgent chan struct{} // size-threshold reached: flush without finishing the delay, cap 1
-	stop   chan struct{}
-	done   chan struct{}
+	kick chan struct{} // first-frame-since-flush signal, cap 1
+	stop chan struct{}
+	done chan struct{}
 }
 
-// coalesceThreshold is the pending-byte level that flushes immediately
-// instead of waiting out the delay: once a batch is already big enough
-// to fill a syscall, holding it longer buys nothing and costs latency.
-// The inserted delay is therefore an upper bound, not a fixed tax.
+// coalesceThreshold is the pending-byte level that ends a hold even
+// while producers are still appending: once a batch is already big
+// enough to fill a syscall, holding it longer buys nothing and costs
+// latency.
 const coalesceThreshold = 8 << 10
 
 // newFlushWriter wraps w; with delay > 0 it starts the flusher
@@ -51,12 +57,11 @@ func newFlushWriter(w io.Writer, delay time.Duration) *flushWriter {
 	fw := &flushWriter{
 		w:     w,
 		delay: delay,
-		buf:    make([]byte, 0, 2048),
-		spare:  make([]byte, 0, 2048),
-		kick:   make(chan struct{}, 1),
-		urgent: make(chan struct{}, 1),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
+		buf:   make([]byte, 0, 2048),
+		spare: make([]byte, 0, 2048),
+		kick:  make(chan struct{}, 1),
+		stop:  make(chan struct{}),
+		done:  make(chan struct{}),
 	}
 	if delay > 0 {
 		go fw.loop()
@@ -89,7 +94,6 @@ func (fw *flushWriter) WriteFrame(frame []byte) error {
 	}
 	wasEmpty := len(fw.buf) == 0
 	fw.buf = append(fw.buf, frame...)
-	full := len(fw.buf) >= coalesceThreshold
 	fw.mu.Unlock()
 	if wasEmpty {
 		select {
@@ -97,55 +101,49 @@ func (fw *flushWriter) WriteFrame(frame []byte) error {
 		default:
 		}
 	}
-	if full {
-		select {
-		case fw.urgent <- struct{}{}:
-		default:
-		}
-	}
 	return nil
 }
 
-// loop is the flusher: on the first frame after an empty buffer it
-// holds the socket for up to the configured delay — the inserted delay
-// — then writes everything that accumulated in one syscall. A batch
-// that reaches the size threshold flushes early; the delay is the
-// latency bound, not a fixed tax.
+// loop is the flusher: the first frame after an empty buffer starts a
+// hold, and everything that accumulated by its end leaves in one
+// syscall. Close ends the loop after a final flush.
 func (fw *flushWriter) loop() {
 	defer close(fw.done)
-	timer := time.NewTimer(fw.delay)
-	if !timer.Stop() {
-		<-timer.C
-	}
 	for {
 		select {
 		case <-fw.kick:
-			timer.Reset(fw.delay)
-			select {
-			case <-timer.C:
-			case <-fw.urgent:
-				if !timer.Stop() {
-					<-timer.C
-				}
-			case <-fw.stop:
-				if !timer.Stop() {
-					<-timer.C
-				}
-				fw.flush()
-				return
-			}
+			fw.hold()
 			fw.flush()
-			// A stale urgent signal from the batch just flushed must not
-			// cut the next batch's delay short.
-			select {
-			case <-fw.urgent:
-			default:
-			}
 		case <-fw.stop:
 			fw.flush()
 			return
 		}
 	}
+}
+
+// hold yields the flusher's processor to the connection's producers
+// until a yield passes with nothing appended, the batch reaches
+// coalesceThreshold, or the delay — a bound read off the clock, never a
+// timer that has to fire — runs out. A closed writer accepts no frames,
+// so Close ends a hold at the next yield.
+func (fw *flushWriter) hold() {
+	start := time.Now()
+	seen := fw.pending()
+	for {
+		runtime.Gosched()
+		n := fw.pending()
+		if n == seen || n >= coalesceThreshold || time.Since(start) >= fw.delay {
+			return
+		}
+		seen = n
+	}
+}
+
+// pending reports the bytes buffered since the last flush.
+func (fw *flushWriter) pending() int {
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
+	return len(fw.buf)
 }
 
 // flush writes the pending buffer. Only the flusher goroutine calls it,

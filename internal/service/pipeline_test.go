@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -307,32 +308,225 @@ func TestResilientPipelined(t *testing.T) {
 	}
 }
 
-// TestFlushWriterCoalesces pins the coalescer itself: frames written
-// within the delay window arrive as one Write call, and a zero delay
-// writes through immediately.
-func TestFlushWriterCoalesces(t *testing.T) {
-	var rec writeRecorder
-	fw := newFlushWriter(&rec, 2*time.Millisecond)
-	for i := 0; i < 5; i++ {
-		if err := fw.WriteFrame([]byte{byte(i), 1, 0, 0}); err != nil {
+// writeRecorder is the recording sink of the flushWriter tests: it keeps
+// every Write's bytes and signals each call on wrote.
+type writeRecorder struct {
+	mu     sync.Mutex
+	writes [][]byte
+	wrote  chan struct{} // buffered past the writes any test makes
+}
+
+func newWriteRecorder() *writeRecorder {
+	return &writeRecorder{wrote: make(chan struct{}, 1<<16)}
+}
+
+func (r *writeRecorder) Write(p []byte) (int, error) {
+	r.mu.Lock()
+	r.writes = append(r.writes, append([]byte(nil), p...))
+	r.mu.Unlock()
+	r.wrote <- struct{}{}
+	return len(p), nil
+}
+
+func (r *writeRecorder) snapshot() [][]byte {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([][]byte(nil), r.writes...)
+}
+
+// awaitWrite blocks until the sink has seen one more Write.
+func (r *writeRecorder) awaitWrite(t *testing.T) {
+	t.Helper()
+	select {
+	case <-r.wrote:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no Write reached the sink")
+	}
+}
+
+// farOff is a flush delay no test waits out: a hold that ends in time
+// ended on an event.
+const farOff = time.Minute
+
+// TestFlushWriterIdleFrame: a lone frame on an idle writer leaves when
+// the connection goes quiet, not when the delay runs out.
+func TestFlushWriterIdleFrame(t *testing.T) {
+	rec := newWriteRecorder()
+	fw := newFlushWriter(rec, farOff)
+	defer fw.Close()
+	frame := []byte{7, 1, 0, 0}
+	if err := fw.WriteFrame(frame); err != nil {
+		t.Fatal(err)
+	}
+	rec.awaitWrite(t)
+	if w := rec.snapshot(); len(w) != 1 || !bytes.Equal(w[0], frame) {
+		t.Fatalf("sink saw %v, want the one frame", w)
+	}
+}
+
+// TestFlushWriterBatchesRunnableProducers: on one P, producers that are
+// runnable when the flusher first yields all run before it looks again,
+// so their frames leave in one Write. Now and then a yield returns
+// without running anyone (every 61st scheduling decision serves the
+// global queue, where the yielder waits, ahead of the local one) and a
+// round splits in two; that depends on the P's tick count, so it does
+// not repeat on the next round, and three rounds in a row never split.
+func TestFlushWriterBatchesRunnableProducers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const producers = 16
+	var got [][]byte
+	for attempt := 0; attempt < 3; attempt++ {
+		rec := newWriteRecorder()
+		fw := newFlushWriter(rec, farOff)
+		var wg sync.WaitGroup
+		for p := 0; p < producers; p++ {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				if err := fw.WriteFrame([]byte{byte(p), 1, 0, 0}); err != nil {
+					t.Error(err)
+				}
+			}(p)
+		}
+		rec.awaitWrite(t) // blocks this goroutine: the producers, then the flusher, run
+		wg.Wait()
+		if err := fw.Close(); err != nil {
 			t.Fatal(err)
 		}
+		if got = rec.snapshot(); len(got) == 1 {
+			break
+		}
 	}
+	if len(got) != 1 || len(got[0]) != 4*producers {
+		t.Fatalf("%d runnable producers left in %d writes (first of %d bytes), want one write of %d bytes",
+			producers, len(got), len(got[0]), 4*producers)
+	}
+}
+
+// TestFlushWriterHoldBounds: a producer that appends on every yield of
+// the flusher never lets the connection go quiet, so the hold has to end
+// on one of its two bounds. On one P producer and flusher alternate
+// strictly (both yield to the same queue), which makes "every yield"
+// exact.
+func TestFlushWriterHoldBounds(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	// firstWrite runs the relentless producer until a Write arrives and
+	// returns that Write and how long after the first frame it came.
+	firstWrite := func(t *testing.T, delay time.Duration, frame []byte) ([]byte, time.Duration) {
+		rec := newWriteRecorder()
+		fw := newFlushWriter(rec, delay)
+		stop := make(chan struct{})
+		done := make(chan struct{})
+		start := time.Now()
+		go func() {
+			defer close(done)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := fw.WriteFrame(frame); err != nil {
+					t.Error(err)
+					return
+				}
+				runtime.Gosched()
+			}
+		}()
+		rec.awaitWrite(t)
+		held := time.Since(start)
+		close(stop)
+		<-done
+		if err := fw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return rec.snapshot()[0], held
+	}
+
+	t.Run("delay", func(t *testing.T) {
+		// One-byte frames: 8 KiB of them take thousands of yields, far
+		// longer than this delay, so only the delay can end the hold.
+		const delay = 200 * time.Microsecond
+		w, held := firstWrite(t, delay, []byte{1})
+		if len(w) >= coalesceThreshold {
+			t.Fatalf("hold ran to the %d-byte threshold (%d bytes) past a %v delay", coalesceThreshold, len(w), delay)
+		}
+		if held < delay {
+			t.Fatalf("hold ended after %v with the producer still appending, before the %v delay", held, delay)
+		}
+	})
+	t.Run("threshold", func(t *testing.T) {
+		frame := make([]byte, 1<<10)
+		w, _ := firstWrite(t, farOff, frame)
+		if len(w) < coalesceThreshold || len(w) >= coalesceThreshold+len(frame) {
+			t.Fatalf("first write of %d bytes, want the first batch to reach %d", len(w), coalesceThreshold)
+		}
+	})
+}
+
+// TestFlushWriterCloseFlushesInOrder: concurrent producers' frames reach
+// the sink whole and in each producer's order, and Close returns only
+// after everything accepted before it was written.
+func TestFlushWriterCloseFlushesInOrder(t *testing.T) {
+	const producers, each = 8, 200
+	rec := newWriteRecorder()
+	fw := newFlushWriter(rec, farOff)
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for seq := 0; seq < each; seq++ {
+				// [producer, seq, n, n bytes of producer]: a torn or
+				// interleaved frame breaks the parse below.
+				frame := append([]byte{byte(p), byte(seq), byte(p + 1)}, bytes.Repeat([]byte{byte(p)}, p+1)...)
+				if err := fw.WriteFrame(frame); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
 	if err := fw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if calls := rec.calls(); calls >= 5 {
-		t.Fatalf("coalescer made %d writes for 5 frames", calls)
+	stream := bytes.Join(rec.snapshot(), nil)
+	var next [producers]int
+	for len(stream) > 0 {
+		if len(stream) < 3 || len(stream) < 3+int(stream[2]) {
+			t.Fatalf("torn frame at the end of the stream: % x", stream)
+		}
+		p, seq, n := int(stream[0]), int(stream[1]), int(stream[2])
+		if p >= producers || n != p+1 || !bytes.Equal(stream[3:3+n], bytes.Repeat([]byte{byte(p)}, n)) {
+			t.Fatalf("interleaved frame: % x", stream[:3+n])
+		}
+		if seq != next[p] {
+			t.Fatalf("producer %d: frame %d arrived where %d was due", p, seq, next[p])
+		}
+		next[p]++
+		stream = stream[3+n:]
 	}
-	if got := rec.bytes(); got != 20 {
-		t.Fatalf("wrote %d bytes, want 20", got)
+	for p, n := range next {
+		if n != each {
+			t.Fatalf("producer %d: %d of %d frames reached the sink before Close returned", p, n, each)
+		}
 	}
+}
 
-	rec = writeRecorder{}
-	fw = newFlushWriter(&rec, 0)
-	fw.WriteFrame([]byte{1, 2, 3})
-	if rec.calls() != 1 {
-		t.Fatalf("write-through made %d writes, want 1", rec.calls())
+// TestFlushWriterWriteThrough: with no delay every frame is its own
+// Write, made before WriteFrame returns.
+func TestFlushWriterWriteThrough(t *testing.T) {
+	rec := newWriteRecorder()
+	fw := newFlushWriter(rec, 0)
+	frames := [][]byte{{1, 2, 3}, {4}, {5, 6}}
+	for i, f := range frames {
+		if err := fw.WriteFrame(f); err != nil {
+			t.Fatal(err)
+		}
+		if w := rec.snapshot(); len(w) != i+1 || !bytes.Equal(w[i], f) {
+			t.Fatalf("after frame %d the sink holds %v", i, w)
+		}
 	}
 	fw.Close()
 	if err := fw.WriteFrame([]byte{9}); !errors.Is(err, net.ErrClosed) {
@@ -340,32 +534,9 @@ func TestFlushWriterCoalesces(t *testing.T) {
 	}
 }
 
-// writeRecorder counts Write calls and bytes.
-type writeRecorder struct {
-	mu  sync.Mutex
-	n   int
-	buf bytes.Buffer
-}
-
-func (r *writeRecorder) Write(p []byte) (int, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.n++
-	return r.buf.Write(p)
-}
-func (r *writeRecorder) calls() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.n
-}
-func (r *writeRecorder) bytes() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.buf.Len()
-}
-
 // TestFlushWriterError pins sticky error propagation: once the sink
-// fails, every subsequent WriteFrame reports it.
+// fails, every subsequent WriteFrame reports it — at once when writing
+// through, from the flush on when coalescing.
 func TestFlushWriterError(t *testing.T) {
 	boom := errors.New("boom")
 	fw := newFlushWriter(failingWriter{err: boom}, 0)
@@ -376,6 +547,17 @@ func TestFlushWriterError(t *testing.T) {
 		t.Fatalf("sticky error lost: %v", err)
 	}
 	fw.Close()
+
+	fw = newFlushWriter(failingWriter{err: boom}, farOff)
+	if err := fw.WriteFrame([]byte{1}); err != nil {
+		t.Fatalf("buffered write: %v", err)
+	}
+	if err := fw.Close(); !errors.Is(err, boom) {
+		t.Fatalf("close after a failed flush: %v, want boom", err)
+	}
+	if err := fw.WriteFrame([]byte{2}); !errors.Is(err, boom) {
+		t.Fatalf("sticky error lost: %v", err)
+	}
 }
 
 type failingWriter struct{ err error }

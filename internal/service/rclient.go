@@ -77,9 +77,10 @@ type ResilientOptions struct {
 	// goroutines share this ResilientClient instead of serializing on
 	// one round trip. ≤ 1 keeps the lock-step connection.
 	Pipeline int
-	// FlushDelay coalesces the pipelined connection's request frames:
-	// the socket is held up to this long so concurrent ops batch into
-	// one write syscall (only meaningful with Pipeline ≥ 2).
+	// FlushDelay, when positive, coalesces the pipelined connection's
+	// request frames: concurrent ops batch into one write syscall, held
+	// until the senders go quiet and for this long at most (only
+	// meaningful with Pipeline ≥ 2).
 	FlushDelay time.Duration
 }
 

@@ -203,6 +203,40 @@ func TestClientsNoGoroutineLeak(t *testing.T) {
 	waitGoroutines(t, before)
 }
 
+// TestClientCloseStopsFlusher: a pipelined client with a flush delay
+// owns a flusher goroutine, and that goroutine ends with the connection
+// — when the client closes it, and when the server resets it under a
+// client nobody has closed yet.
+func TestClientCloseStopsFlusher(t *testing.T) {
+	before := runtime.NumGoroutine()
+	srv, addr := startServerOpts(t, nil, ServerOptions{FlushDelay: 50 * time.Microsecond})
+	dial := func() *Client {
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Pipeline(8, 50*time.Microsecond); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Ping(); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	for i := 0; i < 20; i++ {
+		if err := dial().Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		defer dial().Close()
+	}
+	if err := srv.Close(); err != nil { // resets the 20 live connections
+		t.Fatal(err)
+	}
+	waitGoroutines(t, before)
+}
+
 // TestServerIdleTimeoutReaps: a connection that goes quiet (or half-open)
 // is closed by the idle deadline instead of pinning its goroutine.
 func TestServerIdleTimeoutReaps(t *testing.T) {

@@ -36,10 +36,12 @@ type ServerOptions struct {
 	// hint: the server inserting a delay into the client's retry loop,
 	// which is the paper's anti-herd delay one layer up.
 	RetryAfter time.Duration
-	// FlushDelay, when positive, holds each connection's response socket
-	// for up to this long so frames completing close together batch into
-	// one write syscall — delay-inserted write coalescing, the paper's
-	// throughput-for-p50 trade made explicit (0 = write through).
+	// FlushDelay, when positive, turns on write coalescing: each
+	// connection's responses are held while more are being produced, so
+	// frames completing close together leave in one write syscall. The
+	// hold ends when the connection goes quiet (or 8 KiB is pending);
+	// FlushDelay is the upper bound on it, the paper's time-out on an
+	// inserted delay, not a time every batch waits (0 = write through).
 	FlushDelay time.Duration
 	// Window caps the concurrently-executing pipelined (WireVersion3)
 	// requests per connection; once the window is full the connection's

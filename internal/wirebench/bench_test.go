@@ -12,3 +12,6 @@ func BenchmarkServerRoundtrip(b *testing.B) { ServerRoundtrip(b) }
 func BenchmarkServerRoundtripPipelined(b *testing.B) {
 	ServerRoundtripPipelined(b)
 }
+func BenchmarkServerRoundtripCoalesced(b *testing.B) {
+	ServerRoundtripCoalesced(b)
+}

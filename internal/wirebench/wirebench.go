@@ -39,6 +39,7 @@ func All() []Case {
 		{Name: "WireDecode", Fn: Decode, SlackFactor: 1},
 		{Name: "ServerRoundtrip", Fn: ServerRoundtrip, SlackFactor: 3},
 		{Name: "ServerRoundtripPipelined", Fn: ServerRoundtripPipelined, SlackFactor: 3},
+		{Name: "ServerRoundtripCoalesced", Fn: ServerRoundtripCoalesced, SlackFactor: 3},
 	}
 }
 
@@ -175,16 +176,20 @@ func ServerRoundtrip(b *testing.B) {
 
 // ServerRoundtripPipelined is the pipelined dispatch path: one
 // connection, a 32-deep window, 32 concurrent actors on private
-// resources. It deliberately runs WITHOUT write coalescing: a single
-// otherwise-idle connection goes fully quiet during a flush window, the
-// lone P parks in netpoll, and sub-millisecond flush timers then fire
-// at the poller's ~1ms granularity — the benchmark would gate kernel
-// timer behavior, not our code. Coalescing's win needs concurrent
-// connections keeping the scheduler busy; BENCH_throughput.json's
-// 16-client sweep is where that is measured and committed.
-func ServerRoundtripPipelined(b *testing.B) {
+// resources, every frame written through.
+func ServerRoundtripPipelined(b *testing.B) { pipelinedRoundtrip(b, 0) }
+
+// ServerRoundtripCoalesced is the same load with write coalescing on
+// both ends. One connection is all the traffic there is, so whenever the
+// window drains the connection goes quiet: this is the case that gates
+// the hold ending on quiescence rather than on its time-out.
+func ServerRoundtripCoalesced(b *testing.B) { pipelinedRoundtrip(b, 50*time.Microsecond) }
+
+// pipelinedRoundtrip is the body the two share; flushDelay goes to both
+// ends, 0 writing through.
+func pipelinedRoundtrip(b *testing.B, flushDelay time.Duration) {
 	const window = 32
-	addr, stop := startBackend(b, service.ServerOptions{Window: window})
+	addr, stop := startBackend(b, service.ServerOptions{Window: window, FlushDelay: flushDelay})
 	defer stop()
 	cl, err := service.Dial(addr)
 	if err != nil {
@@ -192,7 +197,7 @@ func ServerRoundtripPipelined(b *testing.B) {
 	}
 	defer cl.Close()
 	cl.SetOpTimeout(30 * time.Second)
-	if err := cl.Pipeline(window, 0); err != nil {
+	if err := cl.Pipeline(window, flushDelay); err != nil {
 		b.Fatal(err)
 	}
 	var worker atomic.Int32
