@@ -134,8 +134,8 @@ func Attach(eng *engine.Engine, f *coherence.Fabric, procs int, cfg Config) *Mon
 		shadow:    make(map[mem.Addr]uint64),
 		pending:   make(map[mem.LineID][]pendingGrant),
 	}
-	f.SetProbe(mo)
-	eng.SetAfterStep(mo.afterStep)
+	f.AddProbe(mo)
+	eng.AddAfterStep(mo.afterStep)
 	return mo
 }
 

@@ -656,6 +656,45 @@ func TestQOLBUncontendedReacquire(t *testing.T) {
 	}
 }
 
+// TestEvictionForwardsDelayedLine checks the paper's rule that evicting a
+// line with queued requests is treated as a time-out: P0 holds a predicted
+// lock with P1's LPRFO delayed behind it, then touches enough conflicting
+// lines to push the lock line out of its L2 set. The line must go to P1,
+// not to memory, and nothing may be left behind.
+func TestEvictionForwardsDelayedLine(t *testing.T) {
+	cfg := iqolbCfg()
+	cfg.LockTimeout = 1_000_000
+	r := newRig(t, 2, cfg)
+	trainLock(r, 0)
+	step := mem.Addr(2048 * mem.LineSize) // same L2 set, 4 ways
+	r.op(0, mem.LoadLinked, 64, 0, func(mem.Result) {
+		r.op(0, mem.StoreCond, 64, 1, func(mem.Result) {
+			r.op(1, mem.LoadLinked, 64, 0, nil)
+			r.eng.After(300, func(engine.Time) {
+				var fill func(i int)
+				fill = func(i int) {
+					if i > 4 {
+						return
+					}
+					r.op(0, mem.Store, 64+mem.Addr(i)*step, uint64(i), func(mem.Result) { fill(i + 1) })
+				}
+				fill(1)
+			})
+		})
+	})
+	r.run()
+	if v, ok := r.f.Node(1).PeekWord(64); !ok || v != 1 {
+		t.Fatalf("evicted lock line did not reach the queued requester:\n%s", r.f.DebugLine(1))
+	}
+	if got := r.st.Nodes[0].DelayEvictions; got != 1 {
+		t.Fatalf("DelayEvictions = %d, want 1", got)
+	}
+	if got := r.st.Nodes[0].DelayTimeouts; got != 0 {
+		t.Fatalf("DelayTimeouts = %d, want 0 (the eviction, not the timer, ended the delay)", got)
+	}
+	CheckQuiescent(t, r.f)
+}
+
 // --- cross-cutting invariants ---
 
 // checkSingleWriter asserts the MOESI single-writer/multi-reader invariant
@@ -739,6 +778,19 @@ func TestRandomStressInvariants(t *testing.T) {
 			for i := 0; i < 12; i++ {
 				issue(150)
 			}
+			// The record's queue invariant, checked after every event: a
+			// duty marked removed is never still queued.
+			r.eng.AddAfterStep(func(engine.Time) {
+				for _, c := range r.f.nodes {
+					for line, ls := range c.lines {
+						for _, d := range ls.duties {
+							if d.removed {
+								t.Fatalf("%s line %d: removed duty still queued", c.id, line)
+							}
+						}
+					}
+				}
+			})
 			r.run()
 			if outstanding != 0 {
 				t.Fatalf("%d operations never completed", outstanding)
@@ -746,9 +798,103 @@ func TestRandomStressInvariants(t *testing.T) {
 			for line := mem.LineID(0); line < 3; line++ {
 				checkSingleWriter(t, r, line)
 			}
+			CheckQuiescent(t, r.f)
 			if r.f.Bus().Outstanding() != 0 {
 				t.Fatalf("bus leaked %d outstanding slots", r.f.Bus().Outstanding())
 			}
 		})
 	}
+}
+
+// --- the per-line records ---
+
+// CheckQuiescent asserts that nothing is in flight anywhere in the machine:
+// no record on any node holds an MSHR, a duty, a loan or a parked access,
+// and no line is marked stuck. (Exported for the whole-machine runs in the
+// external test package.)
+func CheckQuiescent(t *testing.T, f *Fabric) {
+	t.Helper()
+	for _, c := range f.nodes {
+		for line, ls := range c.lines {
+			if ls.mshr != nil || len(ls.duties) > 0 || ls.loanedOut || len(ls.loanWait) > 0 {
+				t.Errorf("%s not quiescent on line %d:\n%s", c.id, line, f.DebugLine(line))
+			}
+		}
+	}
+	for line, e := range f.dir {
+		if e.stuck {
+			t.Errorf("line %d still marked stuck", line)
+		}
+	}
+}
+
+// TestUntrackedLinesCostNothing runs a contended hand-off among three of 32
+// nodes. The other 29 snoop every transaction and must end with no record
+// at all; reading an untracked line yields the zero record without creating
+// one, and a write to that copy reaches nothing.
+func TestUntrackedLinesCostNothing(t *testing.T) {
+	r := newRig(t, 32, iqolbCfg())
+	trainLock(r, 0)
+	r.op(0, mem.LoadLinked, 64, 0, func(mem.Result) {
+		r.op(0, mem.StoreCond, 64, 1, func(mem.Result) {
+			r.op(1, mem.LoadLinked, 64, 0, nil)
+			r.op(2, mem.Store, 72, 7, nil)
+			r.eng.After(500, func(engine.Time) { r.op(0, mem.Store, 64, 0, nil) })
+		})
+	})
+	r.run()
+	CheckQuiescent(t, r.f)
+	for i, c := range r.f.nodes {
+		want := 0
+		if i < 3 {
+			want = 1
+		}
+		if len(c.lines) != want {
+			t.Errorf("%s tracks %d lines, want %d", c.id, len(c.lines), want)
+		}
+	}
+	bystander := r.f.Node(31)
+	ls := bystander.at(1)
+	if ls.data != nil || ls.mshr != nil || ls.duties != nil || ls.loanedOut || ls.loanWait != nil {
+		t.Fatalf("untracked line reads as %+v, want the zero record", ls)
+	}
+	ls.loanedOut = true
+	if bystander.at(1).loanedOut || len(bystander.lines) != 0 {
+		t.Fatal("a write to an untracked line's record reached the controller")
+	}
+}
+
+// TestDebugLineRendersKnownState pins DebugLine on one snapshot that shows
+// every part of the record: P0 holds the lock and has lent the line to P2's
+// collocated store (retention), P1's LPRFO is the delayed duty still queued
+// at P0, and P1 spins on its tear-off (a fragile link) with the miss
+// outstanding.
+func TestDebugLineRendersKnownState(t *testing.T) {
+	cfg := iqolbCfg()
+	cfg.LockTimeout = 100000
+	r := newRig(t, 3, cfg)
+	trainLock(r, 0)
+	r.op(0, mem.LoadLinked, 64, 0, func(mem.Result) {
+		r.op(0, mem.StoreCond, 64, 1, func(mem.Result) {
+			r.op(1, mem.LoadLinked, 64, 0, nil)
+			r.eng.After(300, func(engine.Time) { r.op(2, mem.Store, 72, 7, nil) })
+			r.eng.After(1000, func(engine.Time) { r.op(0, mem.Store, 64, 0, nil) })
+		})
+	})
+	var got string
+	r.eng.AddAfterStep(func(engine.Time) {
+		if got == "" && r.f.Node(0).at(1).loanedOut {
+			got = r.f.DebugLine(1)
+		}
+	})
+	r.run()
+	want := "line 1 (base 0x40): owner=P1 holder=P0\n" +
+		"  P0: state=I LOANED-OUT(waiters=0) holding-lock" +
+		" duty{LPRFO from P1 delayed=true inService=false removed=false loan=false}\n" +
+		"  P1: state=I mshr{tx=LPRFO observed=true opDone=true tear=true pending=0} linked(fragile=true)\n" +
+		"  P2: state=I mshr{tx=GETX observed=true opDone=false tear=false pending=0}\n"
+	if got != want {
+		t.Fatalf("DebugLine:\n%s\nwant:\n%s", got, want)
+	}
+	CheckQuiescent(t, r.f)
 }

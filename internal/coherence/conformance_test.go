@@ -103,6 +103,7 @@ func TestProtocolConformance(t *testing.T) {
 				if got := r.sync(2, mem.Load, addr, 0); got.Value != want {
 					t.Errorf("P2 re-read %d, want %d", got.Value, want)
 				}
+				CheckQuiescent(t, r.f)
 			})
 		}
 	}
@@ -137,6 +138,7 @@ func TestProtocolConformanceLL(t *testing.T) {
 			if got := r.st.Nodes[0].TxIssued[c.wantTx]; got != 1 {
 				t.Errorf("issued %d %s, want 1", got, c.wantTx)
 			}
+			CheckQuiescent(t, r.f)
 		})
 	}
 }

@@ -59,9 +59,27 @@ type duty struct {
 	timerSeq  uint64
 }
 
-// Controller is one node's cache controller: L1/L2 arrays, the canonical
-// data image, MSHRs, the supply-duty queue, the LL/SC link register, and
-// the IQOLB policy hooks.
+// lineState is everything one node tracks about one line: the paper's
+// mechanism is per line, and so is this record.
+type lineState struct {
+	data *mem.LineData // the node's copy; nil while it has none
+	mshr *mshr         // the one outstanding miss, if any
+
+	// duties is the node's part of the line's implicit queue (§3.2): the
+	// requests it must answer, in bus order. Every queued duty is live; a
+	// duty marked removed has already left the queue.
+	duties []*duty
+
+	// loanedOut marks a line lent to a writer under queue retention (§3.3);
+	// the node remains queue head and reinstalls the line on DataReturn.
+	// loanWait parks the node's own accesses until then.
+	loanedOut bool
+	loanWait  []mem.Request
+}
+
+// Controller is one node's cache controller: L1/L2 arrays, one lineState
+// record per line it has a stake in (data image, MSHR, duty queue, loan),
+// the LL/SC link register, and the IQOLB policy hooks.
 type Controller struct {
 	id     mem.NodeID
 	f      *Fabric
@@ -70,16 +88,7 @@ type Controller struct {
 	l1     *cache.Cache
 	l2     *cache.Cache
 
-	data   map[mem.LineID]*mem.LineData
-	mshrs  map[mem.LineID]*mshr
-	duties map[mem.LineID][]*duty
-
-	// loanedOut marks lines lent to a writer under queue retention; the
-	// node remains queue head and reinstalls the line on DataReturn.
-	// loanWait parks the node's own accesses to a loaned line until it
-	// comes back.
-	loanedOut map[mem.LineID]bool
-	loanWait  map[mem.LineID][]mem.Request
+	lines map[mem.LineID]*lineState
 
 	linkValid   bool
 	linkAddr    mem.Addr
@@ -99,14 +108,30 @@ func newController(id mem.NodeID, f *Fabric, geo CacheGeometry, pol *core.Policy
 		policy:       pol,
 		l1:           cache.New(geo.L1),
 		l2:           cache.New(geo.L2),
-		data:         make(map[mem.LineID]*mem.LineData),
-		mshrs:        make(map[mem.LineID]*mshr),
-		duties:       make(map[mem.LineID][]*duty),
-		loanedOut:    make(map[mem.LineID]bool),
-		loanWait:     make(map[mem.LineID][]mem.Request),
+		lines:        make(map[mem.LineID]*lineState),
 		acquireStart: make(map[mem.Addr]engine.Time),
 		st:           st,
 	}
+}
+
+// at reads the line's record. A line the node tracks nothing about reads as
+// the zero record, by value: the snoop path (every node sees every
+// transaction) allocates nothing, and a write to the result reaches no line.
+func (c *Controller) at(line mem.LineID) lineState {
+	if ls := c.lines[line]; ls != nil {
+		return *ls
+	}
+	return lineState{}
+}
+
+// track returns the line's record for writing, creating it on first use.
+func (c *Controller) track(line mem.LineID) *lineState {
+	ls := c.lines[line]
+	if ls == nil {
+		ls = new(lineState)
+		c.lines[line] = ls
+	}
+	return ls
 }
 
 // Policy exposes the node's policy instance (tests, sweep tool).
@@ -123,8 +148,8 @@ func (c *Controller) State(line mem.LineID) mem.State { return c.l2.State(line) 
 
 // PeekWord reads a resident line's word directly (tests).
 func (c *Controller) PeekWord(addr mem.Addr) (uint64, bool) {
-	d, ok := c.data[addr.Line()]
-	if !ok {
+	d := c.at(addr.Line()).data
+	if d == nil {
 		return 0, false
 	}
 	return d[addr.WordIndex()], true
@@ -135,7 +160,7 @@ func (c *Controller) hasReadableLine(line mem.LineID) bool {
 }
 
 func (c *Controller) lineData(line mem.LineID) *mem.LineData {
-	d := c.data[line]
+	d := c.at(line).data
 	if d == nil {
 		panic(fmt.Sprintf("coherence: %s has state %s for line %d but no data",
 			c.id, c.l2.State(line), line))
@@ -160,12 +185,14 @@ func (c *Controller) completeAfter(req mem.Request, res mem.Result, lat engine.T
 // Access is the processor's entry point (proc.Port).
 func (c *Controller) Access(req mem.Request) {
 	line := req.Addr.Line()
-	if c.loanedOut[line] {
+	ls := c.at(line)
+	if ls.loanedOut {
 		// Our own access to a line we lent out: it returns shortly.
-		c.loanWait[line] = append(c.loanWait[line], req)
+		parked := c.track(line)
+		parked.loanWait = append(parked.loanWait, req)
 		return
 	}
-	if m := c.mshrs[line]; m != nil {
+	if m := ls.mshr; m != nil {
 		// The line is in flight. Reads of the tear-off word spin locally;
 		// everything else waits for the fill.
 		if (req.Kind == mem.Load || req.Kind == mem.LoadLinked) && m.hasTear && m.tearAddr == req.Addr {
@@ -182,13 +209,6 @@ func (c *Controller) Access(req mem.Request) {
 	}
 	c.dispatch(req)
 }
-
-// dbgInstall is a test hook observing every line installation.
-var dbgInstall func(*Controller, mem.LineID, mem.State, mem.LineData)
-
-// dbgDuty is a test hook observing duty routing ("add", "reroute",
-// "transfer", "drop", "squash").
-var dbgDuty func(c *Controller, action string, tx interconnect.Tx)
 
 func (c *Controller) dispatch(req mem.Request) {
 	switch req.Kind {
@@ -230,6 +250,22 @@ func (c *Controller) l1PermFor(line mem.LineID) mem.State {
 	return mem.Shared
 }
 
+// writeHit performs a store-class write on a resident writable line: touch,
+// write the word, report the commit, E→M. It returns the hit latency and
+// the word's previous value.
+func (c *Controller) writeHit(addr mem.Addr, v uint64) (engine.Time, uint64) {
+	line := addr.Line()
+	lat := c.hitLatency(line)
+	d := c.lineData(line)
+	old := d[addr.WordIndex()]
+	d[addr.WordIndex()] = v
+	c.probeCommit(addr, v)
+	if c.l2.State(line) == mem.Exclusive {
+		c.l2.SetState(line, mem.Modified)
+	}
+	return lat, old
+}
+
 func (c *Controller) setLink(addr mem.Addr, fragile bool) {
 	c.linkValid = true
 	c.linkAddr = addr
@@ -249,6 +285,16 @@ func (c *Controller) noteAcquireStart(addr mem.Addr) {
 			c.acquireStart[addr] = c.eng.Now()
 			c.f.noteLockAttempt(c.id, addr)
 		}
+	}
+}
+
+// noteAcquired closes the attempt noteAcquireStart opened at a registered
+// lock address: the hand-off and acquire-wait statistics.
+func (c *Controller) noteAcquired(addr mem.Addr) {
+	c.f.recordAcquire(c.id, addr)
+	if s, ok := c.acquireStart[addr]; ok {
+		c.f.st.AcquireWait.Add(uint64(c.eng.Now() - s))
+		delete(c.acquireStart, addr)
 	}
 }
 
@@ -285,12 +331,7 @@ func (c *Controller) accessStore(req mem.Request) {
 	state := c.l2.State(line)
 	switch {
 	case state.CanWrite():
-		lat := c.hitLatency(line)
-		c.lineData(line)[req.Addr.WordIndex()] = req.Value
-		c.probeCommit(req.Addr, req.Value)
-		if state == mem.Exclusive {
-			c.l2.SetState(line, mem.Modified)
-		}
+		lat, _ := c.writeHit(req.Addr, req.Value)
 		c.traceEv(trace.EvStore, line, "")
 		c.completeAfter(req, mem.Result{}, lat)
 		c.afterStore(req.Addr)
@@ -314,12 +355,7 @@ func (c *Controller) accessSC(req mem.Request) {
 	state := c.l2.State(line)
 	switch {
 	case state.CanWrite():
-		lat := c.hitLatency(line)
-		c.lineData(line)[req.Addr.WordIndex()] = req.Value
-		c.probeCommit(req.Addr, req.Value)
-		if state == mem.Exclusive {
-			c.l2.SetState(line, mem.Modified)
-		}
+		lat, _ := c.writeHit(req.Addr, req.Value)
 		c.linkValid = false
 		c.completeAfter(req, mem.Result{OK: true}, lat)
 		// Policy bookkeeping runs atomically with the write: a gap would
@@ -359,11 +395,7 @@ func (c *Controller) afterSCSuccess(req mem.Request) {
 	}
 	if c.f.isLockAddr(req.Addr) {
 		c.st.LockAcquires++
-		c.f.recordAcquire(c.id, req.Addr)
-		if s, ok := c.acquireStart[req.Addr]; ok {
-			c.f.st.AcquireWait.Add(uint64(c.eng.Now() - s))
-			delete(c.acquireStart, req.Addr)
-		}
+		c.noteAcquired(req.Addr)
 	}
 	if class == core.ClassLock {
 		c.traceEv(trace.EvAcquire, line, "predicted lock")
@@ -385,14 +417,7 @@ func (c *Controller) accessSwap(req mem.Request) {
 	state := c.l2.State(line)
 	switch {
 	case state.CanWrite():
-		lat := c.hitLatency(line)
-		d := c.lineData(line)
-		old := d[req.Addr.WordIndex()]
-		d[req.Addr.WordIndex()] = req.Value
-		c.probeCommit(req.Addr, req.Value)
-		if state == mem.Exclusive {
-			c.l2.SetState(line, mem.Modified)
-		}
+		lat, old := c.writeHit(req.Addr, req.Value)
 		c.completeAfter(req, mem.Result{Value: old}, lat)
 		c.afterStore(req.Addr)
 	case state == mem.Shared || state == mem.Owned:
@@ -403,14 +428,9 @@ func (c *Controller) accessSwap(req mem.Request) {
 }
 
 func (c *Controller) accessEnqolb(req mem.Request) {
-	line := req.Addr.Line()
 	c.st.QOLBEnqueues++
 	c.noteAcquireStart(req.Addr)
-	m := &mshr{line: line, txKind: mem.TxQOLB, req: req, issuedAt: c.eng.Now()}
-	c.mshrs[line] = m
-	c.st.TxIssued[mem.TxQOLB]++
-	c.f.rec.Add(trace.Event{At: c.eng.Now(), Kind: trace.EvTxIssue, Node: c.id, Line: line, Tx: mem.TxQOLB})
-	m.txID = c.f.bus.Request(mem.TxQOLB, req.Addr, c.id)
+	c.missIssue(req, mem.TxQOLB)
 }
 
 func (c *Controller) accessDeqolb(req mem.Request) {
@@ -428,19 +448,14 @@ func (c *Controller) accessDeqolb(req mem.Request) {
 // line) has arrived.
 func (c *Controller) qolbGranted(addr mem.Addr) {
 	line := addr.Line()
-	m := c.mshrs[line]
+	m := c.at(line).mshr
 	if m == nil || m.txKind != mem.TxQOLB {
 		panic(fmt.Sprintf("coherence: %s QOLB grant without pending enqueue", c.id))
 	}
-	delete(c.mshrs, line)
-	c.f.st.MissLatency.Add(uint64(c.eng.Now() - m.issuedAt))
+	c.retire(m)
 	c.st.LockAcquires++
 	if c.f.isLockAddr(addr) {
-		c.f.recordAcquire(c.id, addr)
-		if s, ok := c.acquireStart[addr]; ok {
-			c.f.st.AcquireWait.Add(uint64(c.eng.Now() - s))
-			delete(c.acquireStart, addr)
-		}
+		c.noteAcquired(addr)
 	}
 	c.traceEv(trace.EvAcquire, line, "qolb grant")
 	val := c.lineData(line)[addr.WordIndex()]
@@ -491,13 +506,26 @@ func (c *Controller) afterStore(addr mem.Addr) {
 func (c *Controller) missIssue(req mem.Request, tx mem.TxKind) {
 	line := req.Addr.Line()
 	m := &mshr{line: line, txKind: tx, req: req, issuedAt: c.eng.Now()}
-	c.mshrs[line] = m
+	c.track(line).mshr = m
+	m.txID = c.issue(tx, req.Addr)
+}
+
+// issue counts, traces and probes one transaction and requests the address
+// bus for it, returning the bus's transaction ID.
+func (c *Controller) issue(tx mem.TxKind, addr mem.Addr) uint64 {
+	line := addr.Line()
 	c.st.TxIssued[tx]++
 	c.f.rec.Add(trace.Event{At: c.eng.Now(), Kind: trace.EvTxIssue, Node: c.id, Line: line, Tx: tx})
 	if tx == mem.TxLPRFO {
 		c.f.probeLPRFOIssue(c.id, line)
 	}
-	m.txID = c.f.bus.Request(tx, req.Addr, c.id)
+	return c.f.bus.Request(tx, addr, c.id)
+}
+
+// retire frees an MSHR and charges its miss latency.
+func (c *Controller) retire(m *mshr) {
+	c.track(m.line).mshr = nil
+	c.f.st.MissLatency.Add(uint64(c.eng.Now() - m.issuedAt))
 }
 
 // ---------------------------------------------------------------------------
@@ -514,15 +542,20 @@ func (c *Controller) snoop(tx interconnect.Tx) {
 			c.invalidateLocal(line)
 			// An Owned chain head losing its copy to an upgrade must pass
 			// its queued duties along; deferred one event so the fabric's
-			// holder register reflects the upgrader first.
-			if len(c.liveDuties(line)) > 0 {
-				c.eng.After(0, func(engine.Time) { c.rerouteOrphanedDuties(line) })
+			// holder register reflects the upgrader first. They stay if by
+			// then the line is back, or on its way.
+			if len(c.at(line).duties) > 0 {
+				c.eng.After(0, func(engine.Time) {
+					if !c.answersFor(line) {
+						c.handOff(line)
+					}
+				})
 			}
 		} else if tx.Kind == mem.TxUPGR && state.IsOwner() {
 			panic(fmt.Sprintf("coherence: %s holds %s while %s upgrades line %d",
 				c.id, state, tx.Requester, line))
 		}
-		if m := c.mshrs[line]; m != nil && m.observed {
+		if m := c.at(line).mshr; m != nil && m.observed {
 			if m.txKind == mem.TxLPRFO && !c.policy.Config().QueueRetention &&
 				c.f.holderOf(line) != c.id {
 				// Queue breakdown — but only for requests not yet
@@ -540,7 +573,7 @@ func (c *Controller) snoop(tx interconnect.Tx) {
 		if c.l2.State(line) == mem.Shared {
 			c.invalidateLocal(line)
 		}
-		if m := c.mshrs[line]; m != nil && m.observed && m.txKind == mem.TxGETS {
+		if m := c.at(line).mshr; m != nil && m.observed && m.txKind == mem.TxGETS {
 			m.invalidated = true
 		}
 	}
@@ -559,24 +592,25 @@ func (c *Controller) squash(m *mshr) {
 	// bus slot when it re-requests.
 	c.dropQueuedLPRFOs(m.line)
 	c.f.bus.Complete() // our own abandoned slot
-	c.st.TxIssued[mem.TxLPRFO]++
-	c.f.rec.Add(trace.Event{At: c.eng.Now(), Kind: trace.EvTxIssue, Node: c.id, Line: m.line, Tx: mem.TxLPRFO})
-	c.f.probeLPRFOIssue(c.id, m.line)
-	m.txID = c.f.bus.Request(mem.TxLPRFO, m.req.Addr, c.id)
+	m.txID = c.issue(mem.TxLPRFO, m.req.Addr)
 }
 
-// rerouteOrphanedDuties hands off duties stranded at a node that lost its
-// copy without an ownership transfer (snoop invalidation of an Owned chain
-// head).
-func (c *Controller) rerouteOrphanedDuties(line mem.LineID) {
-	if c.l2.State(line).CanRead() || c.loanedOut[line] {
-		return // the line came back; processDuties will serve them
-	}
-	if m := c.mshrs[line]; m != nil && (m.txKind.WantsOwnership() || m.txKind == mem.TxQOLB) {
-		return // expecting the line; duties stay queued here
-	}
-	rest := c.duties[line]
-	delete(c.duties, line)
+// answersFor reports whether duties for the line belong at this node: it
+// has the data, has lent it out and will get it back, or is owner-elect
+// with the line on its way.
+func (c *Controller) answersFor(line mem.LineID) bool {
+	ls := c.at(line)
+	return c.l2.State(line).CanRead() || ls.loanedOut ||
+		ls.mshr != nil && (ls.mshr.txKind.WantsOwnership() || ls.mshr.txKind == mem.TxQOLB)
+}
+
+// handOff passes every duty still queued for the line to its current
+// holder: the line has left this node, or will never reach it. The fabric's
+// holder register already names the new home.
+func (c *Controller) handOff(line mem.LineID) {
+	ls := c.track(line)
+	rest := ls.duties
+	ls.duties = nil
 	for _, d := range rest {
 		if d.removed {
 			continue
@@ -590,7 +624,7 @@ func (c *Controller) rerouteOrphanedDuties(line mem.LineID) {
 // requesters reissue (and handle their own bus accounting) on the same
 // broadcast.
 func (c *Controller) dropQueuedLPRFOs(line mem.LineID) {
-	queue := c.duties[line]
+	queue := c.at(line).duties
 	if len(queue) == 0 {
 		return
 	}
@@ -602,11 +636,7 @@ func (c *Controller) dropQueuedLPRFOs(line mem.LineID) {
 		}
 		keep = append(keep, d)
 	}
-	if len(keep) == 0 {
-		delete(c.duties, line)
-	} else {
-		c.duties[line] = keep
-	}
+	c.track(line).duties = keep
 }
 
 // invalidateLocal drops the node's copy: caches, data, link, and any lock
@@ -615,7 +645,7 @@ func (c *Controller) invalidateLocal(line mem.LineID) {
 	c.resetLinkIfOn(line)
 	c.l1.Invalidate(line)
 	c.l2.Invalidate(line)
-	delete(c.data, line)
+	c.track(line).data = nil
 }
 
 // willRetain reports whether a plain write request for the line should be
@@ -625,14 +655,14 @@ func (c *Controller) willRetain(line mem.LineID) bool {
 	if !c.policy.Config().QueueRetention {
 		return false
 	}
-	if c.loanedOut[line] {
+	if c.at(line).loanedOut {
 		return true // already mid-loan; keep queue semantics
 	}
 	return c.delayedDuty(line) != nil
 }
 
 func (c *Controller) delayedDuty(line mem.LineID) *duty {
-	for _, d := range c.duties[line] {
+	for _, d := range c.at(line).duties {
 		if d.delayed && !d.removed {
 			return d
 		}
@@ -643,7 +673,7 @@ func (c *Controller) delayedDuty(line mem.LineID) *duty {
 // ownTxObserved marks the node's outstanding transaction for the line as
 // globally ordered.
 func (c *Controller) ownTxObserved(line mem.LineID) {
-	if m := c.mshrs[line]; m != nil {
+	if m := c.at(line).mshr; m != nil {
 		m.observed = true
 	}
 }
@@ -654,36 +684,21 @@ func (c *Controller) addDuty(tx interconnect.Tx, loan bool) {
 		panic(fmt.Sprintf("coherence: %s received duty for its own request", c.id))
 	}
 	line := tx.Line
-	expecting := false
-	if m := c.mshrs[line]; m != nil && (m.txKind.WantsOwnership() || m.txKind == mem.TxQOLB) {
-		expecting = true
-	}
-	if !c.hasReadableLine(line) && !c.loanedOut[line] && !expecting {
+	if !c.answersFor(line) {
 		// We no longer hold the line (raced with a hand-off): pass the
 		// obligation to the current holder.
-		if dbgDuty != nil {
-			dbgDuty(c, "bounce", tx)
-		}
 		c.f.reroute(tx, loan)
 		return
 	}
-	if dbgDuty != nil {
-		dbgDuty(c, "add", tx)
-	}
-	d := &duty{tx: tx, loan: loan, arrived: c.eng.Now()}
-	c.duties[line] = append(c.duties[line], d)
+	ls := c.track(line)
+	ls.duties = append(ls.duties, &duty{tx: tx, loan: loan, arrived: c.eng.Now()})
 	c.processDuties(line)
 }
 
 // upgradeGranted completes a pending UPGR at its observation instant.
 func (c *Controller) upgradeGranted(tx interconnect.Tx) {
 	line := tx.Line
-	m := c.mshrs[line]
-	if m == nil {
-		panic(fmt.Sprintf("coherence: %s upgrade granted without MSHR", c.id))
-	}
-	delete(c.mshrs, line)
-	c.f.st.MissLatency.Add(uint64(c.eng.Now() - m.issuedAt))
+	m := c.takeMshr(line, tx.Kind)
 	c.l2.SetState(line, mem.Modified)
 	c.l1.Invalidate(line) // refresh permission on next touch
 	c.probeInstall(line, mem.Modified)
@@ -742,7 +757,7 @@ func (c *Controller) onData(msg interconnect.Msg) {
 	line := msg.Line
 	switch msg.Kind {
 	case mem.DataShared:
-		m := c.takeMshr(line, msg)
+		m := c.takeMshr(line, msg.Kind)
 		if m.invalidated {
 			// A write was ordered after our read but before our data
 			// arrived: use the value (our read is ordered first) but do
@@ -761,13 +776,13 @@ func (c *Controller) onData(msg interconnect.Msg) {
 			c.onLoanData(msg)
 			return
 		}
-		if m := c.mshrs[line]; m != nil && m.txKind == mem.TxQOLB {
+		if m := c.at(line).mshr; m != nil && m.txKind == mem.TxQOLB {
 			c.install(line, mem.Modified, msg.Data)
 			c.qolbGranted(m.req.Addr)
 			c.processDuties(line) // duties queued while the grant was in flight
 			return
 		}
-		m := c.takeMshr(line, msg)
+		m := c.takeMshr(line, msg.Kind)
 		state := mem.Exclusive
 		if msg.Dirty {
 			state = mem.Modified
@@ -785,7 +800,7 @@ func (c *Controller) onData(msg interconnect.Msg) {
 		c.runPending(m)
 		c.processDuties(line)
 	case mem.DataTearOff:
-		m := c.mshrs[line]
+		m := c.at(line).mshr
 		if m == nil {
 			return // raced with a resolution; harmless
 		}
@@ -804,19 +819,19 @@ func (c *Controller) onData(msg interconnect.Msg) {
 		if m.txKind == mem.TxGETS {
 			// A plain read answered speculatively is fully resolved: the
 			// supplier completed our duty; no line will arrive.
-			delete(c.mshrs, line)
-			c.f.st.MissLatency.Add(uint64(c.eng.Now() - m.issuedAt))
+			c.retire(m)
 			c.runPending(m)
 		}
 	case mem.DataReturn:
-		if !c.loanedOut[line] {
+		ls := c.track(line)
+		if !ls.loanedOut {
 			panic(fmt.Sprintf("coherence: %s got DataReturn without loan", c.id))
 		}
-		delete(c.loanedOut, line)
+		ls.loanedOut = false
 		c.st.RetentionTrips++
 		c.install(line, mem.Modified, msg.Data)
-		waiters := c.loanWait[line]
-		delete(c.loanWait, line)
+		waiters := ls.loanWait
+		ls.loanWait = nil
 		for _, w := range waiters {
 			c.Access(w)
 		}
@@ -826,13 +841,14 @@ func (c *Controller) onData(msg interconnect.Msg) {
 	}
 }
 
-func (c *Controller) takeMshr(line mem.LineID, msg interconnect.Msg) *mshr {
-	m := c.mshrs[line]
+// takeMshr retires the MSHR that the arriving response (a data message or
+// an upgrade grant, named by what) answers.
+func (c *Controller) takeMshr(line mem.LineID, what fmt.Stringer) *mshr {
+	m := c.at(line).mshr
 	if m == nil {
-		panic(fmt.Sprintf("coherence: %s data %s for line %d without MSHR", c.id, msg.Kind, line))
+		panic(fmt.Sprintf("coherence: %s got %s for line %d without MSHR", c.id, what, line))
 	}
-	delete(c.mshrs, line)
-	c.f.st.MissLatency.Add(uint64(c.eng.Now() - m.issuedAt))
+	c.retire(m)
 	return m
 }
 
@@ -841,7 +857,7 @@ func (c *Controller) takeMshr(line mem.LineID, msg interconnect.Msg) *mshr {
 // "transfer ownership back once the write completes").
 func (c *Controller) onLoanData(msg interconnect.Msg) {
 	line := msg.Line
-	m := c.takeMshr(line, msg)
+	m := c.takeMshr(line, msg.Kind)
 	data := msg.Data
 	c.completeWriteOp(m, &data)
 	if msg.TxID != 0 {
@@ -855,15 +871,7 @@ func (c *Controller) onLoanData(msg interconnect.Msg) {
 	// Duties queued here anticipated this node becoming the holder; the
 	// loan means it never will. Pass them to the line's real home (the
 	// holder register already points back at the loan origin).
-	rest := c.duties[line]
-	delete(c.duties, line)
-	for _, d := range rest {
-		if d.removed {
-			continue
-		}
-		d.removed = true
-		c.f.reroute(d.tx, d.loan)
-	}
+	c.handOff(line)
 	c.runPending(m) // they will miss again: the line has left
 }
 
@@ -912,9 +920,6 @@ func (c *Controller) runPending(m *mshr) {
 // install places a line into the hierarchy, running the eviction path for
 // any victim first.
 func (c *Controller) install(line mem.LineID, state mem.State, data mem.LineData) {
-	if dbgInstall != nil {
-		dbgInstall(c, line, state, data)
-	}
 	if c.l2.State(line) == mem.Invalid {
 		if victim, vstate, full := c.l2.Victim(line); full {
 			c.evict(victim, vstate)
@@ -922,7 +927,7 @@ func (c *Controller) install(line mem.LineID, state mem.State, data mem.LineData
 	}
 	c.l2.Install(line, state)
 	d := data
-	c.data[line] = &d
+	c.track(line).data = &d
 	c.l1.Install(line, c.l1PermFor(line))
 	c.probeInstall(line, state)
 }
@@ -931,9 +936,7 @@ func (c *Controller) install(line mem.LineID, state mem.State, data mem.LineData
 // line with queued requests transfers ownership (and data) to the next
 // requestor — an eviction is treated as a time-out.
 func (c *Controller) evict(victim mem.LineID, vstate mem.State) {
-	c.resetLinkIfOn(victim)
-	c.l1.Invalidate(victim)
-	if len(c.liveDuties(victim)) > 0 {
+	if len(c.at(victim).duties) > 0 {
 		c.st.DelayEvictions++
 		c.forwardOwnership(victim, trace.EvTimeout, "eviction")
 		if c.l2.State(victim) != mem.Invalid {
@@ -953,22 +956,12 @@ func (c *Controller) finishEvict(victim mem.LineID, vstate mem.State) {
 		c.f.setHolderIfNode(victim, c.id, mem.MemoryNode)
 		c.f.setOwnerIfHeldBy(victim, c.id, mem.MemoryNode)
 	}
-	c.l2.Invalidate(victim)
-	delete(c.data, victim)
-	rest := c.duties[victim]
-	delete(c.duties, victim)
-	for _, d := range rest {
-		if d.removed {
-			continue
-		}
-		d.removed = true
-		c.f.reroute(d.tx, d.loan)
-	}
+	c.giveUpLine(victim)
 }
 
 func (c *Controller) liveDuties(line mem.LineID) []*duty {
 	var out []*duty
-	for _, d := range c.duties[line] {
+	for _, d := range c.at(line).duties {
 		if !d.removed {
 			out = append(out, d)
 		}
@@ -977,9 +970,7 @@ func (c *Controller) liveDuties(line mem.LineID) []*duty {
 }
 
 func (c *Controller) writeback(line mem.LineID) {
-	c.st.TxIssued[mem.TxWB]++
-	c.f.rec.Add(trace.Event{At: c.eng.Now(), Kind: trace.EvTxIssue, Node: c.id, Line: line, Tx: mem.TxWB})
-	c.f.bus.Request(mem.TxWB, line.Base(), c.id)
+	c.issue(mem.TxWB, line.Base())
 	c.f.memory.expectWriteback(line)
 	c.f.send(interconnect.Msg{
 		Kind: mem.DataWriteback, Line: line, Data: *c.lineData(line), Dirty: true,
@@ -1149,20 +1140,14 @@ func (c *Controller) loanOut(line mem.LineID, d *duty) {
 		From: c.id, To: d.tx.Requester, TxID: d.tx.ID,
 		Loan: true, ReturnTo: c.id,
 	})
-	c.loanedOut[line] = true
-	c.resetLinkIfOn(line)
-	c.l1.Invalidate(line)
-	c.l2.Invalidate(line)
-	delete(c.data, line)
+	c.track(line).loanedOut = true
+	c.invalidateLocal(line)
 	c.removeDuty(line, d)
 }
 
 // transferOwnership sends the line exclusively to the duty's requester and
 // gives it up locally.
 func (c *Controller) transferOwnership(line mem.LineID, d *duty) {
-	if dbgDuty != nil {
-		dbgDuty(c, "transfer", d.tx)
-	}
 	state := c.l2.State(line)
 	c.f.send(interconnect.Msg{
 		Kind: mem.DataExclusive, Line: line, Data: *c.lineData(line), Dirty: state.Dirty(),
@@ -1173,18 +1158,11 @@ func (c *Controller) transferOwnership(line mem.LineID, d *duty) {
 }
 
 // giveUpLine invalidates locally and reroutes any remaining duties to the
-// new holder (whose identity the fabric recorded at send time).
+// new holder (whose identity the fabric recorded when the line was sent, or
+// when an eviction returned it to memory).
 func (c *Controller) giveUpLine(line mem.LineID) {
 	c.invalidateLocal(line)
-	rest := c.duties[line]
-	delete(c.duties, line)
-	for _, d := range rest {
-		if d.removed {
-			continue
-		}
-		d.removed = true
-		c.f.reroute(d.tx, d.loan)
-	}
+	c.handOff(line)
 }
 
 // forwardOwnership hands the line to the first queued ownership-wanting
@@ -1310,14 +1288,11 @@ func (c *Controller) sendTearOff(line mem.LineID, to mem.NodeID) {
 
 func (c *Controller) removeDuty(line mem.LineID, d *duty) {
 	d.removed = true
-	queue := c.duties[line]
-	for i, q := range queue {
+	ls := c.track(line)
+	for i, q := range ls.duties {
 		if q == d {
-			c.duties[line] = append(queue[:i], queue[i+1:]...)
+			ls.duties = append(ls.duties[:i], ls.duties[i+1:]...)
 			break
 		}
-	}
-	if len(c.duties[line]) == 0 {
-		delete(c.duties, line)
 	}
 }

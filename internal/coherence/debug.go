@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"iqolb/internal/interconnect"
 	"iqolb/internal/mem"
 )
 
@@ -16,9 +15,9 @@ func (f *Fabric) DebugLine(line mem.LineID) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "line %d (base %#x): owner=%s holder=%s\n",
 		line, uint64(line.Base()), f.ownerOf(line), f.holderOf(line))
-	if n := f.memory.wbInFlight[line]; n > 0 {
+	if ml := f.memory.lines[line]; ml != nil && ml.wbInFlight > 0 {
 		fmt.Fprintf(&sb, "  memory: %d writeback(s) in flight, %d deferred supplies\n",
-			n, len(f.memory.deferred[line]))
+			ml.wbInFlight, len(ml.deferred))
 	}
 	for _, c := range f.nodes {
 		s := c.debugLine(line)
@@ -31,10 +30,8 @@ func (f *Fabric) DebugLine(line mem.LineID) string {
 
 func (c *Controller) debugLine(line mem.LineID) string {
 	state := c.l2.State(line)
-	m := c.mshrs[line]
-	duties := c.duties[line]
-	loaned := c.loanedOut[line]
-	waiting := len(c.loanWait[line])
+	ls := c.at(line)
+	m, duties, loaned, waiting := ls.mshr, ls.duties, ls.loanedOut, len(ls.loanWait)
 	linked := c.linkValid && c.linkAddr.Line() == line
 	holding := c.policy.HoldingLockOn(line)
 	if state == mem.Invalid && m == nil && len(duties) == 0 && !loaned && waiting == 0 && !linked && !holding {
@@ -61,35 +58,4 @@ func (c *Controller) debugLine(line mem.LineID) string {
 	}
 	sb.WriteByte('\n')
 	return sb.String()
-}
-
-// SetDebugInstall wires a stdout dump of every install on line 16 (debug).
-func SetDebugInstall() {
-	dbgInstall = func(c *Controller, line mem.LineID, state mem.State, data mem.LineData) {
-		if line == 16 {
-			fmt.Printf("t=%-8d %s INSTALL state=%s w0=%d\n", uint64(c.eng.Now()), c.id, state, data[0])
-		}
-	}
-}
-
-// SetDebugDuty wires a stdout dump of duty routing on one line (debug).
-func SetDebugDuty(line mem.LineID) {
-	dbgDuty = func(c *Controller, action string, tx interconnect.Tx) {
-		if tx.Line == line {
-			fmt.Printf("t=%-8d %s %s duty %s(from %s, id %d) [owner=%s holder=%s]\n",
-				uint64(c.eng.Now()), c.id, action, tx.Kind, tx.Requester, tx.ID,
-				c.f.ownerOf(tx.Line), c.f.holderOf(tx.Line))
-		}
-	}
-}
-
-// SetDebugObserve wires a stdout dump of observations on one line (debug).
-func SetDebugObserve(line mem.LineID) {
-	dbgObserve = func(f *Fabric, tx interconnect.Tx) {
-		if tx.Line == line {
-			fmt.Printf("t=%-8d OBSERVE %s(from %s, id %d) [owner=%s holder=%s]\n",
-				uint64(f.eng.Now()), tx.Kind, tx.Requester, tx.ID,
-				f.ownerOf(tx.Line), f.holderOf(tx.Line))
-		}
-	}
 }

@@ -13,19 +13,34 @@ import (
 	"iqolb/internal/trace"
 )
 
-// Fabric owns the global pieces of the memory system: the address bus, the
-// data crossbar, the home memory controller, the explicit-QOLB queue
-// manager, and the per-line serialization bookkeeping that routes each
-// transaction to its supplier.
-//
-// Two per-line registers drive routing, mirroring the paper's implicit
-// queue:
+// dirEntry is the fabric's directory record for one line. Its two registers
+// drive routing, mirroring the paper's implicit queue:
 //
 //   - holder: the node the line's data currently lives at (or is in flight
 //     to). Plain GETS/GETX requests are serviced by the holder.
 //   - owner: the end of the LPRFO chain — the node that will possess the
 //     line last. LPRFO requests queue there, so the chain of pending
 //     supply duties is exactly the bus-order queue of §3.2.
+//
+// A line without a record lives at memory (see Fabric.at).
+type dirEntry struct {
+	owner, holder mem.NodeID
+	stuck         bool // an injected StuckDelay wedged the line (faults.go)
+}
+
+// lockEntry is the fabric's record for one registered lock address: the
+// time of a release not yet matched by the next acquire, for the hand-off
+// latency statistic.
+type lockEntry struct {
+	released    bool
+	lastRelease engine.Time
+}
+
+// Fabric owns the global pieces of the memory system: the address bus, the
+// data crossbar, the home memory controller, the explicit-QOLB queue
+// manager, one directory record per line (owner, holder, stuck mark) that
+// routes each transaction to its supplier, and one record per registered
+// lock address.
 type Fabric struct {
 	eng    *engine.Engine
 	timing Timing
@@ -35,11 +50,8 @@ type Fabric struct {
 	nodes  []*Controller
 	qolb   *qolb.Manager
 
-	owner  map[mem.LineID]mem.NodeID
-	holder map[mem.LineID]mem.NodeID
-
-	lockAddrs   map[mem.Addr]bool
-	lastRelease map[mem.Addr]engine.Time
+	dir   map[mem.LineID]*dirEntry
+	locks map[mem.Addr]*lockEntry
 
 	st         *stats.Machine
 	rec        *trace.Recorder
@@ -49,7 +61,6 @@ type Fabric struct {
 
 	// Fault injection and graceful degradation (see faults.go).
 	inj           *faults.Injector
-	stuck         map[mem.LineID]bool
 	degraded      bool
 	degradeReason string
 }
@@ -68,14 +79,12 @@ func NewFabric(eng *engine.Engine, timing Timing, geo CacheGeometry, coreCfg cor
 		return nil, fmt.Errorf("coherence: need at least one node, got %d", n)
 	}
 	f := &Fabric{
-		eng:         eng,
-		timing:      timing,
-		owner:       make(map[mem.LineID]mem.NodeID),
-		holder:      make(map[mem.LineID]mem.NodeID),
-		lockAddrs:   make(map[mem.Addr]bool),
-		lastRelease: make(map[mem.Addr]engine.Time),
-		st:          st,
-		rec:         rec,
+		eng:    eng,
+		timing: timing,
+		dir:    make(map[mem.LineID]*dirEntry),
+		locks:  make(map[mem.Addr]*lockEntry),
+		st:     st,
+		rec:    rec,
 	}
 	f.bus = interconnect.NewBus(eng, timing.BusConfig(), f.observe)
 	f.net = interconnect.NewNetwork(eng, timing.NetConfig(), f.deliver)
@@ -109,25 +118,30 @@ func (f *Fabric) Net() *interconnect.Network { return f.net }
 
 // RegisterLockAddr marks an address as a lock for the hand-off latency
 // statistics (workload generators call this; it has no protocol effect).
-func (f *Fabric) RegisterLockAddr(a mem.Addr) { f.lockAddrs[a] = true }
+func (f *Fabric) RegisterLockAddr(a mem.Addr) {
+	if f.locks[a] == nil {
+		f.locks[a] = new(lockEntry)
+	}
+}
 
-func (f *Fabric) isLockAddr(a mem.Addr) bool { return f.lockAddrs[a] }
+func (f *Fabric) isLockAddr(a mem.Addr) bool { return f.locks[a] != nil }
 
 func (f *Fabric) recordRelease(node mem.NodeID, a mem.Addr) {
-	if f.isLockAddr(a) {
-		f.lastRelease[a] = f.eng.Now()
+	if l := f.locks[a]; l != nil {
+		l.released, l.lastRelease = true, f.eng.Now()
 		f.probeLockRelease(node, a)
 	}
 }
 
 func (f *Fabric) recordAcquire(node mem.NodeID, a mem.Addr) {
-	if !f.isLockAddr(a) {
+	l := f.locks[a]
+	if l == nil {
 		return
 	}
 	f.probeLockAcquire(node, a)
-	if rel, ok := f.lastRelease[a]; ok {
-		f.st.LockHandoff.Add(uint64(f.eng.Now() - rel))
-		delete(f.lastRelease, a)
+	if l.released {
+		f.st.LockHandoff.Add(uint64(f.eng.Now() - l.lastRelease))
+		l.released = false
 	}
 }
 
@@ -139,35 +153,34 @@ func (f *Fabric) noteLockAttempt(node mem.NodeID, a mem.Addr) {
 	}
 }
 
-func (f *Fabric) holderOf(line mem.LineID) mem.NodeID {
-	if h, ok := f.holder[line]; ok {
-		return h
+// at reads the line's directory record, by value; a line without one is at
+// home: memory holds it and ends its (empty) chain.
+func (f *Fabric) at(line mem.LineID) dirEntry {
+	if e := f.dir[line]; e != nil {
+		return *e
 	}
-	return mem.MemoryNode
+	return dirEntry{owner: mem.MemoryNode, holder: mem.MemoryNode}
 }
 
-func (f *Fabric) ownerOf(line mem.LineID) mem.NodeID {
-	if o, ok := f.owner[line]; ok {
-		return o
+// track returns the line's directory record for writing, creating it (at
+// home) on first use.
+func (f *Fabric) track(line mem.LineID) *dirEntry {
+	e := f.dir[line]
+	if e == nil {
+		home := f.at(line)
+		e = &home
+		f.dir[line] = e
 	}
-	return mem.MemoryNode
+	return e
 }
 
-func (f *Fabric) setHolder(line mem.LineID, n mem.NodeID) {
-	if n == mem.MemoryNode {
-		delete(f.holder, line)
-	} else {
-		f.holder[line] = n
-	}
-}
+func (f *Fabric) holderOf(line mem.LineID) mem.NodeID { return f.at(line).holder }
 
-func (f *Fabric) setOwner(line mem.LineID, n mem.NodeID) {
-	if n == mem.MemoryNode {
-		delete(f.owner, line)
-	} else {
-		f.owner[line] = n
-	}
-}
+func (f *Fabric) ownerOf(line mem.LineID) mem.NodeID { return f.at(line).owner }
+
+func (f *Fabric) setHolder(line mem.LineID, n mem.NodeID) { f.track(line).holder = n }
+
+func (f *Fabric) setOwner(line mem.LineID, n mem.NodeID) { f.track(line).owner = n }
 
 // send puts a data message on the crossbar, maintaining the holder register
 // and the trace/stat streams.
@@ -227,15 +240,8 @@ func (f *Fabric) deliver(m interconnect.Msg) {
 	f.nodes[m.To].onData(m)
 }
 
-// dbgObserve is a test hook seeing every observation with the pre-update
-// registers.
-var dbgObserve func(f *Fabric, tx interconnect.Tx)
-
 // observe is the coherence point: the transaction is now globally ordered.
 func (f *Fabric) observe(tx interconnect.Tx) {
-	if dbgObserve != nil {
-		dbgObserve(f, tx)
-	}
 	f.probeObserve(tx)
 	f.rec.Add(trace.Event{At: f.eng.Now(), Kind: trace.EvTxObserve, Node: tx.Requester,
 		Line: tx.Line, Tx: tx.Kind})

@@ -11,9 +11,9 @@ import (
 // Fault injection and graceful degradation. The fabric carries an
 // optional per-machine faults.Injector consulted at the protocol's
 // decision points (delay flush, timer arm, tear-off send, hand-off
-// target selection, SC classification); this replaces the old
-// package-global mutation switches, so faulted machines and clean
-// machines can run in the same process concurrently.
+// target selection, SC classification). The injector is per machine, so
+// faulted machines and clean machines can run in the same process
+// concurrently.
 //
 // Degradation is the recovery half: Degrade forces the fabric out of
 // the delayed-response protocol into plain-RFO semantics — every armed
@@ -48,16 +48,11 @@ func (f *Fabric) fireFault(k faults.Kind, line mem.LineID) bool {
 // is armed (Controller.armTimer), so one roll covers a whole delay
 // episode; this predicate only honors the resulting mark.
 func (f *Fabric) lineStuck(line mem.LineID) bool {
-	return !f.degraded && f.stuck[line]
+	return !f.degraded && f.at(line).stuck
 }
 
 // markStuck wedges the line's delay machinery (StuckDelay injection).
-func (f *Fabric) markStuck(line mem.LineID) {
-	if f.stuck == nil {
-		f.stuck = make(map[mem.LineID]bool)
-	}
-	f.stuck[line] = true
-}
+func (f *Fabric) markStuck(line mem.LineID) { f.track(line).stuck = true }
 
 // Degrade forces the machine into plain-RFO semantics: delaying()
 // answers false everywhere, every armed delayed response is flushed on
@@ -71,7 +66,6 @@ func (f *Fabric) Degrade(reason string) {
 	}
 	f.degraded = true
 	f.degradeReason = reason
-	f.stuck = nil
 	f.probeDegraded(reason)
 	for _, n := range f.nodes {
 		n.releaseAllDelays()
@@ -83,12 +77,14 @@ func (f *Fabric) Degrade(reason string) {
 func (f *Fabric) Degraded() (bool, string) { return f.degraded, f.degradeReason }
 
 // releaseAllDelays flushes every delayed duty on the node and re-walks
-// the remaining queues, in deterministic line order (the duty map's
-// iteration order must not leak into the event schedule).
+// the remaining queues, in deterministic line order (the map's iteration
+// order must not leak into the event schedule).
 func (c *Controller) releaseAllDelays() {
-	lines := make([]mem.LineID, 0, len(c.duties))
-	for line := range c.duties {
-		lines = append(lines, line)
+	var lines []mem.LineID
+	for line, ls := range c.lines {
+		if len(ls.duties) > 0 {
+			lines = append(lines, line)
+		}
 	}
 	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
 	for _, line := range lines {

@@ -13,11 +13,8 @@ import (
 // Supplies for a line with a writeback in flight wait for the writeback
 // data, preserving per-line data ordering.
 type Memory struct {
-	f    *Fabric
-	data map[mem.LineID]*mem.LineData
-
-	wbInFlight map[mem.LineID]int
-	deferred   map[mem.LineID][]deferredSupply
+	f     *Fabric
+	lines map[mem.LineID]*memLine
 
 	// bankFree[b] is the cycle DRAM bank b next becomes available; banks
 	// are selected by line interleaving, so aggregate bandwidth is
@@ -45,6 +42,14 @@ func (m *Memory) claimBank(line mem.LineID) engine.Time {
 	return done
 }
 
+// memLine is the home's record for one line: the canonical image, the
+// writebacks still in flight to it, and the supplies waiting behind them.
+type memLine struct {
+	data       mem.LineData
+	wbInFlight int
+	deferred   []deferredSupply
+}
+
 type deferredSupply struct {
 	tx        interconnect.Tx
 	exclusive bool
@@ -53,34 +58,32 @@ type deferredSupply struct {
 
 func newMemory(f *Fabric) *Memory {
 	return &Memory{
-		f:          f,
-		data:       make(map[mem.LineID]*mem.LineData),
-		wbInFlight: make(map[mem.LineID]int),
-		deferred:   make(map[mem.LineID][]deferredSupply),
-		bankFree:   make([]engine.Time, f.timing.MemBanks),
+		f:        f,
+		lines:    make(map[mem.LineID]*memLine),
+		bankFree: make([]engine.Time, f.timing.MemBanks),
 	}
 }
 
-// lineData returns the canonical line image, allocating zeroes lazily.
-func (m *Memory) lineData(line mem.LineID) *mem.LineData {
-	d := m.data[line]
-	if d == nil {
-		d = new(mem.LineData)
-		m.data[line] = d
+// line returns the line's record, allocating a zeroed image lazily.
+func (m *Memory) line(line mem.LineID) *memLine {
+	ml := m.lines[line]
+	if ml == nil {
+		ml = new(memLine)
+		m.lines[line] = ml
 	}
-	return d
+	return ml
 }
 
 // Poke initializes memory contents before a run (workload setup).
 func (m *Memory) Poke(addr mem.Addr, v uint64) {
-	m.lineData(addr.Line())[addr.WordIndex()] = v
+	m.line(addr.Line()).data[addr.WordIndex()] = v
 }
 
 // Peek reads memory contents directly (verification after a run). It does
 // not snoop caches; callers must only use it once the machine is quiescent
 // or tolerate staleness.
 func (m *Memory) Peek(addr mem.Addr) uint64 {
-	return m.lineData(addr.Line())[addr.WordIndex()]
+	return m.line(addr.Line()).data[addr.WordIndex()]
 }
 
 // supply services a bus transaction from DRAM.
@@ -95,9 +98,9 @@ func (m *Memory) supplyUntracked(tx interconnect.Tx) {
 }
 
 func (m *Memory) supplyInternal(tx interconnect.Tx, exclusive, tracked bool) {
-	if m.wbInFlight[tx.Line] > 0 {
-		m.deferred[tx.Line] = append(m.deferred[tx.Line],
-			deferredSupply{tx: tx, exclusive: exclusive, tracked: tracked})
+	ml := m.line(tx.Line)
+	if ml.wbInFlight > 0 {
+		ml.deferred = append(ml.deferred, deferredSupply{tx: tx, exclusive: exclusive, tracked: tracked})
 		return
 	}
 	m.Reads++
@@ -106,7 +109,7 @@ func (m *Memory) supplyInternal(tx interconnect.Tx, exclusive, tracked bool) {
 		kind = mem.DataExclusive
 	}
 	line := tx.Line
-	data := *m.lineData(line)
+	data := ml.data
 	txID := tx.ID
 	if !tracked {
 		txID = 0
@@ -121,7 +124,7 @@ func (m *Memory) supplyInternal(tx interconnect.Tx, exclusive, tracked bool) {
 
 // expectWriteback registers an in-flight writeback so supplies defer.
 func (m *Memory) expectWriteback(line mem.LineID) {
-	m.wbInFlight[line]++
+	m.line(line).wbInFlight++
 }
 
 // onData absorbs writeback data and drains deferred supplies.
@@ -131,17 +134,17 @@ func (m *Memory) onData(msg interconnect.Msg) {
 	}
 	m.Writebacks++
 	m.claimBank(msg.Line) // the writeback occupies the bank too
-	*m.lineData(msg.Line) = msg.Data
-	if m.wbInFlight[msg.Line] == 0 {
+	ml := m.line(msg.Line)
+	ml.data = msg.Data
+	if ml.wbInFlight == 0 {
 		panic("coherence: unexpected writeback")
 	}
-	m.wbInFlight[msg.Line]--
-	if m.wbInFlight[msg.Line] > 0 {
+	ml.wbInFlight--
+	if ml.wbInFlight > 0 {
 		return
 	}
-	delete(m.wbInFlight, msg.Line)
-	pend := m.deferred[msg.Line]
-	delete(m.deferred, msg.Line)
+	pend := ml.deferred
+	ml.deferred = nil
 	for _, d := range pend {
 		m.supplyInternal(d.tx, d.exclusive, d.tracked)
 	}

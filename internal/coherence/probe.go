@@ -94,22 +94,11 @@ type FaultObserver interface {
 	Degraded(reason string)
 }
 
-// SetProbe attaches a protocol probe, detaching every probe attached
-// before it; nil detaches all. Call before Run. If p also implements
-// SyncProbe or FaultObserver it receives those event streams too.
-func (f *Fabric) SetProbe(p Probe) {
-	f.probes = nil
-	f.syncProbes = nil
-	f.faultObs = nil
-	if p != nil {
-		f.AddProbe(p)
-	}
-}
-
 // AddProbe attaches a protocol probe alongside those already attached
 // (the fan-out lets an invariant monitor and an observability collector
-// share one run). Probes fire in attachment order. If p also implements
-// SyncProbe or FaultObserver it receives those event streams too.
+// share one run). Probes fire in attachment order. Call before Run. If p
+// also implements SyncProbe or FaultObserver it receives those event
+// streams too.
 func (f *Fabric) AddProbe(p Probe) {
 	if p == nil {
 		return

@@ -94,22 +94,12 @@ func (e *Engine) After(delay Time, ev Event) {
 // from inside an event.
 func (e *Engine) Halt() { e.halted = true }
 
-// SetAfterStep installs a callback invoked after every dispatched event,
+// AddAfterStep installs a callback invoked after every dispatched event,
 // with the clock at that event's time. Observers (invariant monitors) use
 // it for periodic scans; the callback must not schedule events or otherwise
-// perturb the simulation. nil removes every installed callback.
-func (e *Engine) SetAfterStep(fn func(Time)) {
-	if fn == nil {
-		e.afterStep = nil
-		return
-	}
-	e.afterStep = []func(Time){fn}
-}
-
-// AddAfterStep appends an after-step callback without displacing those
-// already installed, so independent observers (an invariant monitor and an
-// observability collector, say) can coexist on one engine. Callbacks fire
-// in attachment order.
+// perturb the simulation. Callbacks already installed stay, so independent
+// observers (an invariant monitor and an observability collector, say) can
+// coexist on one engine; they fire in attachment order.
 func (e *Engine) AddAfterStep(fn func(Time)) {
 	if fn == nil {
 		return

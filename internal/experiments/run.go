@@ -182,8 +182,6 @@ func runFetchAdd(cfg machine.Config, sys System, procs, totalOps int, think int6
 	// measurements.
 	fp := cfg.Faults
 	checked = checked || fp != nil
-	// The invariant monitor attaches exclusively (SetProbe); the trace
-	// collector must come after it.
 	var mon *check.Monitor
 	if checked {
 		mon = check.AttachToMachine(m, monitorConfig(m, fp))

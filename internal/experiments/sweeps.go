@@ -206,8 +206,6 @@ func runConfigured(cfg machine.Config, bld *workload.Build, p workload.Params,
 	// measurements.
 	fp := cfg.Faults
 	checked = checked || fp != nil
-	// The invariant monitor attaches exclusively (SetProbe); the trace
-	// collector must come after it.
 	var mon *check.Monitor
 	if checked {
 		mon = check.AttachToMachine(m, monitorConfig(m, fp))

@@ -115,9 +115,7 @@ func NewLog(procs int, now func() uint64) *Log {
 
 // Attach builds a Log and hooks it into every probe point of m: the
 // coherence fabric's synchronization probes, the address bus occupancy
-// monitor, and the hardware barrier. Call before m.Run, and after any
-// exclusive SetProbe-style attachment (the invariant monitor's Attach
-// resets the fabric's probe list).
+// monitor, and the hardware barrier. Call before m.Run.
 func Attach(m *machine.Machine) *Log {
 	eng := m.Engine()
 	l := NewLog(m.Processors(), func() uint64 { return uint64(eng.Now()) })

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"iqolb/internal/check"
 	"iqolb/internal/experiments"
 	"iqolb/internal/machine"
 	"iqolb/internal/obs"
@@ -24,26 +25,36 @@ func runTraced(t *testing.T, bench, system string, procs, scale int) (*obs.Log, 
 	return log, cycles
 }
 
-func tracedRun(bench, system string, procs, scale int, attach bool) (*obs.Log, uint64, error) {
+// newMachine assembles (without running) one scaled-down benchmark under
+// the named system.
+func newMachine(bench, system string, procs, scale int) (*machine.Machine, error) {
 	sys, err := experiments.SystemByName(system)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	spec, err := workload.ByName(bench)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	p := experiments.Scale(spec.Params, scale, procs)
 	bld, err := workload.Generate(p, sys.Primitive, procs)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	m, err := machine.New(sys.MachineConfig(procs), bld.Program, nil)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	for _, l := range bld.Locks {
 		m.RegisterLockAddr(l)
+	}
+	return m, nil
+}
+
+func tracedRun(bench, system string, procs, scale int, attach bool) (*obs.Log, uint64, error) {
+	m, err := newMachine(bench, system, procs, scale)
+	if err != nil {
+		return nil, 0, err
 	}
 	var log *obs.Log
 	if attach {
@@ -292,5 +303,54 @@ func TestNoPerturbation(t *testing.T) {
 		if log.Len() == 0 {
 			t.Errorf("%s: traced run collected nothing", sys)
 		}
+	}
+}
+
+// TestNoPerturbationAttachOrder puts the invariant monitor and the trace
+// collector on one machine in both attach orders. Observers add themselves
+// alongside whatever is already attached, so either order must collect the
+// same events, scan the same steps, reach the same verdict and leave the
+// run's cycle count alone.
+func TestNoPerturbationAttachOrder(t *testing.T) {
+	_, bare, err := tracedRun("raytrace", "iqolb", 8, 8, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		collected int
+		monitored uint64
+		cycles    uint64
+	}
+	run := func(obsFirst bool) outcome {
+		m, err := newMachine("raytrace", "iqolb", 8, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var log *obs.Log
+		if obsFirst {
+			log = obs.Attach(m)
+		}
+		mon := check.AttachToMachine(m, check.Config{})
+		if !obsFirst {
+			log = obs.Attach(m)
+		}
+		res, err := m.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mon.Finish(); err != nil {
+			t.Errorf("obs first=%v: monitor verdict: %v", obsFirst, err)
+		}
+		return outcome{log.Len(), mon.Events(), res.Cycles}
+	}
+	obsFirst, checkFirst := run(true), run(false)
+	if obsFirst != checkFirst {
+		t.Errorf("attach order matters: obs then check %+v, check then obs %+v", obsFirst, checkFirst)
+	}
+	if obsFirst.collected == 0 || obsFirst.monitored == 0 {
+		t.Errorf("an observer saw nothing: %+v", obsFirst)
+	}
+	if obsFirst.cycles != bare {
+		t.Errorf("observers perturbed the run: %d cycles bare, %d observed", bare, obsFirst.cycles)
 	}
 }
