@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"iqolb"
+	"iqolb/internal/stats"
 )
 
 // benchProcs and benchScale size the benchmark runs: large enough to show
@@ -306,6 +307,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 // simulated cycle on a contended IQOLB workload (a performance regression
 // guard for the engine and protocol fast paths).
 func BenchmarkSimulatorThroughput(b *testing.B) {
+	b.ReportAllocs()
 	var simCycles uint64
 	for i := 0; i < b.N; i++ {
 		res, err := iqolb.RunSpec(iqolb.Spec{
@@ -317,4 +319,25 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		simCycles += res.Cycles
 	}
 	b.ReportMetric(float64(simCycles)/float64(b.Elapsed().Nanoseconds())*1000, "simMcycles/s")
+}
+
+// BenchmarkSimRaytraceCells runs the cells that dominate the benchmark's
+// sim_raytrace workload: raytrace on 32 simulated processors at scale 4,
+// under tts (the herd) and then iqolb. It is the recipe for profiling the
+// simulator's host costs:
+//
+//	go test -run '^$' -bench SimRaytraceCells -cpuprofile cpu.out
+func BenchmarkSimRaytraceCells(b *testing.B) {
+	b.ReportAllocs()
+	var ops uint64
+	for i := 0; i < b.N; i++ {
+		for _, sys := range []iqolb.System{iqolb.SystemTTS, iqolb.SystemIQOLB} {
+			res, err := iqolb.RunSpec(iqolb.Spec{Bench: "raytrace", System: sys.Name, Procs: 32, Scale: 4})
+			if err != nil {
+				b.Fatal(err)
+			}
+			ops += res.Stats.Total(func(n *stats.Node) uint64 { return n.LockAcquires + n.LockReleases })
+		}
+	}
+	b.ReportMetric(float64(ops)/b.Elapsed().Seconds(), "lock-ops/s")
 }

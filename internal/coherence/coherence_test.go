@@ -43,11 +43,11 @@ func (r *rig) run() {
 func (r *rig) op(node int, kind mem.AccessKind, addr mem.Addr, val uint64, after func(mem.Result)) {
 	r.f.Node(node).Access(mem.Request{
 		Kind: kind, Addr: addr, Value: val, PC: 100 + node,
-		Done: func(res mem.Result) {
+		Done: mem.DoneFunc(func(res mem.Result) {
 			if after != nil {
 				after(res)
 			}
-		},
+		}),
 	})
 }
 

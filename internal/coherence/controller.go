@@ -173,9 +173,15 @@ func (c *Controller) traceEv(kind trace.Kind, line mem.LineID, note string) {
 	c.f.rec.Add(trace.Event{At: c.eng.Now(), Kind: kind, Node: c.id, Line: line, Note: note})
 }
 
-// completeAfter delivers a request's result lat cycles from now.
+// completeAfter delivers a request's result lat cycles from now: an event
+// that targets the requester and carries the result.
 func (c *Controller) completeAfter(req mem.Request, res mem.Result, lat engine.Time) {
-	c.eng.After(lat, func(engine.Time) { req.Done(res) })
+	c.eng.Schedule(c.eng.Now()+lat, req.Done, res.Arg())
+}
+
+// complete delivers a request's result now.
+func (c *Controller) complete(req mem.Request, res mem.Result) {
+	req.Done.Fire(c.eng.Now(), res.Arg())
 }
 
 // ---------------------------------------------------------------------------
@@ -459,7 +465,7 @@ func (c *Controller) qolbGranted(addr mem.Addr) {
 	}
 	c.traceEv(trace.EvAcquire, line, "qolb grant")
 	val := c.lineData(line)[addr.WordIndex()]
-	m.req.Done(mem.Result{Value: val, OK: true})
+	c.complete(m.req, mem.Result{Value: val, OK: true})
 	for _, p := range m.pending {
 		c.Access(p)
 	}
@@ -717,33 +723,33 @@ func (c *Controller) completeWriteOp(m *mshr, d *mem.LineData) {
 		d[idx] = req.Value
 		c.probeCommit(req.Addr, req.Value)
 		c.traceEv(trace.EvStore, m.line, "")
-		req.Done(mem.Result{})
+		c.complete(req, mem.Result{})
 		c.afterStore(req.Addr)
 	case mem.StoreCond:
 		if c.linkValid && c.linkAddr == req.Addr && !c.linkFragile {
 			d[idx] = req.Value
 			c.probeCommit(req.Addr, req.Value)
 			c.linkValid = false
-			req.Done(mem.Result{OK: true})
+			c.complete(req, mem.Result{OK: true})
 			c.afterSCSuccess(req)
 		} else {
 			c.st.SCFail++
 			c.traceEv(trace.EvSCFail, m.line, "lost race")
 			c.linkValid = false
 			c.linkFragile = false
-			req.Done(mem.Result{OK: false})
+			c.complete(req, mem.Result{OK: false})
 		}
 	case mem.SwapOp:
 		old := d[idx]
 		d[idx] = req.Value
 		c.probeCommit(req.Addr, req.Value)
-		req.Done(mem.Result{Value: old})
+		c.complete(req, mem.Result{Value: old})
 		c.afterStore(req.Addr)
 	case mem.Load, mem.LoadLinked:
 		if req.Kind == mem.LoadLinked {
 			c.setLink(req.Addr, false)
 		}
-		req.Done(mem.Result{Value: d[idx]})
+		c.complete(req, mem.Result{Value: d[idx]})
 	default:
 		panic(fmt.Sprintf("coherence: unexpected op %v at fill", req.Kind))
 	}
@@ -814,7 +820,7 @@ func (c *Controller) onData(msg interconnect.Msg) {
 			if m.req.Kind == mem.LoadLinked {
 				c.setLink(m.req.Addr, true)
 			}
-			m.req.Done(mem.Result{Value: m.tearVal, TearOff: true})
+			c.complete(m.req, mem.Result{Value: m.tearVal, TearOff: true})
 		}
 		if m.txKind == mem.TxGETS {
 			// A plain read answered speculatively is fully resolved: the
@@ -880,7 +886,7 @@ func (c *Controller) completeReadNoInstall(m *mshr, data mem.LineData) {
 		return
 	}
 	m.opDone = true
-	m.req.Done(mem.Result{Value: data[m.req.Addr.WordIndex()]})
+	c.complete(m.req, mem.Result{Value: data[m.req.Addr.WordIndex()]})
 }
 
 // completeFill finishes the MSHR's original operation after installation.
@@ -893,10 +899,10 @@ func (c *Controller) completeFill(m *mshr) {
 	req := m.req
 	switch req.Kind {
 	case mem.Load:
-		req.Done(mem.Result{Value: c.lineData(line)[req.Addr.WordIndex()]})
+		c.complete(req, mem.Result{Value: c.lineData(line)[req.Addr.WordIndex()]})
 	case mem.LoadLinked:
 		c.setLink(req.Addr, false)
-		req.Done(mem.Result{Value: c.lineData(line)[req.Addr.WordIndex()]})
+		c.complete(req, mem.Result{Value: c.lineData(line)[req.Addr.WordIndex()]})
 	case mem.Store, mem.StoreCond, mem.SwapOp:
 		if !c.l2.State(line).CanWrite() {
 			panic(fmt.Sprintf("coherence: %s write fill without write permission (%s)",

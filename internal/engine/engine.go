@@ -6,46 +6,49 @@
 // time order; events scheduled for the same cycle fire in the order they
 // were scheduled (FIFO by a monotonically increasing sequence number), which
 // makes every simulation bit-for-bit reproducible.
+//
+// An event is data: a time, a sequence number, a target Handler and a
+// small Arg. Hot components bind their handlers once, when they are built,
+// and pass per-event facts in the Arg, so scheduling and dispatching an
+// event allocates nothing. Func adapts a plain callback to the same path
+// for tests and cold sites.
 package engine
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Time is the simulated clock, measured in processor cycles.
 type Time uint64
 
-// Event is a callback scheduled to run at a particular simulated time.
-type Event func(now Time)
+// Arg is the payload an event carries to its handler: two words whose
+// meaning the handler defines (a memory completion packs its result here).
+type Arg struct{ A, B uint64 }
+
+// Handler is the target of an event.
+type Handler interface {
+	Fire(now Time, arg Arg)
+}
+
+// Func adapts a callback to Handler. Converting a Func to a Handler does
+// not allocate, so a Func bound once (a method value stored at
+// construction) schedules for free; a closure literal allocates where it is
+// written.
+type Func func(now Time)
+
+// Fire calls f; the Arg is unused.
+func (f Func) Fire(now Time, _ Arg) { f(now) }
 
 type item struct {
-	at   Time
-	seq  uint64
-	call Event
+	at  Time
+	seq uint64
+	h   Handler
+	arg Arg
 }
 
-type eventHeap []item
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-func (h *eventHeap) Push(x any) { *h = append(*h, x.(item)) }
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+// before is the dispatch order: time, then scheduling order. Sequence
+// numbers are unique, so this is a total order and any correct heap
+// dispatches the same sequence.
+func before(a, b *item) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
 }
 
 // Engine is a deterministic discrete-event scheduler.
@@ -54,7 +57,7 @@ func (h *eventHeap) Pop() any {
 type Engine struct {
 	now       Time
 	seq       uint64
-	queue     eventHeap
+	queue     []item // binary min-heap by before
 	fired     uint64
 	halted    bool
 	afterStep []func(Time)
@@ -62,7 +65,7 @@ type Engine struct {
 
 // New returns an empty engine with the clock at cycle zero.
 func New() *Engine {
-	return &Engine{queue: make(eventHeap, 0, 1024)}
+	return &Engine{queue: make([]item, 0, 1024)}
 }
 
 // Now reports the current simulated time.
@@ -74,20 +77,69 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // Pending reports how many events are waiting in the queue.
 func (e *Engine) Pending() int { return len(e.queue) }
 
-// At schedules ev to fire at absolute time at. Scheduling into the past
-// panics: it would silently corrupt causality and always indicates a bug in
-// a component's latency arithmetic.
-func (e *Engine) At(at Time, ev Event) {
+// Schedule arranges for h.Fire(at, arg) at absolute time at. Scheduling
+// into the past panics: it would silently corrupt causality and always
+// indicates a bug in a component's latency arithmetic.
+func (e *Engine) Schedule(at Time, h Handler, arg Arg) {
 	if at < e.now {
 		panic(fmt.Sprintf("engine: event scheduled at %d, before now %d", at, e.now))
 	}
 	e.seq++
-	heap.Push(&e.queue, item{at: at, seq: e.seq, call: ev})
+	e.push(item{at: at, seq: e.seq, h: h, arg: arg})
 }
 
-// After schedules ev to fire delay cycles from now.
-func (e *Engine) After(delay Time, ev Event) {
-	e.At(e.now+delay, ev)
+// At schedules fn to fire at absolute time at.
+func (e *Engine) At(at Time, fn Func) { e.Schedule(at, fn, Arg{}) }
+
+// After schedules fn to fire delay cycles from now.
+func (e *Engine) After(delay Time, fn Func) { e.Schedule(e.now+delay, fn, Arg{}) }
+
+// push appends it and sifts it up to its place.
+func (e *Engine) push(it item) {
+	e.queue = append(e.queue, it)
+	q := e.queue
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !before(&it, &q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = it
+}
+
+// pop removes and returns the earliest item. The vacated slot is zeroed so
+// the queue's spare capacity holds no handler alive.
+func (e *Engine) pop() item {
+	q := e.queue
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = item{}
+	q = q[:n]
+	e.queue = q
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && before(&q[r], &q[c]) {
+			c = r
+		}
+		if !before(&q[c], &last) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = last
+	return top
 }
 
 // Halt stops Run before the next event is dispatched. It is safe to call
@@ -113,10 +165,10 @@ func (e *Engine) Step() bool {
 	if len(e.queue) == 0 {
 		return false
 	}
-	it := heap.Pop(&e.queue).(item)
+	it := e.pop()
 	e.now = it.at
 	e.fired++
-	it.call(e.now)
+	it.h.Fire(e.now, it.arg)
 	for _, fn := range e.afterStep {
 		fn(e.now)
 	}

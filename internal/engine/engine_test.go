@@ -163,6 +163,147 @@ func TestPropertyDispatchOrder(t *testing.T) {
 	}
 }
 
+// spawner is a Handler that hands each firing, with the id carried in its
+// Arg, to a callback (which may schedule further events).
+type spawner struct{ fire func(now Time, id int) }
+
+func (s *spawner) Fire(now Time, a Arg) { s.fire(now, int(a.A)) }
+
+// Property: events scheduled from inside a handler, at now+{0,1,2,3},
+// interleave with those already queued exactly as a reference model that
+// fires the least (time, scheduling order) says. This pins same-cycle FIFO
+// for events added mid-run, on both the Handler and the Func path (even
+// ids take one, odd ids the other).
+func TestPropertyDispatchOrderInterleaved(t *testing.T) {
+	const budget = 400 // events scheduled per case
+	type ev struct {
+		at Time
+		id int
+	}
+	f := func(prog []byte) bool {
+		if len(prog) == 0 {
+			return true
+		}
+		// Event id, when it fires, schedules up to three children at
+		// delays 0..3, all drawn from prog.
+		children := func(id int) []Time {
+			b := prog[id%len(prog)]
+			out := make([]Time, b&3)
+			for k := range out {
+				out[k] = Time(b >> (2 + 2*k) & 3)
+			}
+			return out
+		}
+		initial := func(add func(Time)) {
+			for i := 0; i < 4; i++ {
+				add(Time(prog[i%len(prog)] % 8))
+			}
+		}
+
+		// Reference model: a flat list; the least (at, id) fires next.
+		var want, pending []ev
+		nextID := 0
+		add := func(at Time) {
+			if nextID < budget {
+				pending = append(pending, ev{at, nextID})
+				nextID++
+			}
+		}
+		initial(add)
+		for len(pending) > 0 {
+			m := 0
+			for i, p := range pending {
+				if p.at < pending[m].at || p.at == pending[m].at && p.id < pending[m].id {
+					m = i
+				}
+			}
+			cur := pending[m]
+			pending = append(pending[:m], pending[m+1:]...)
+			want = append(want, cur)
+			for _, d := range children(cur.id) {
+				add(cur.at + d)
+			}
+		}
+
+		// The engine, running the same program.
+		e := New()
+		var got []ev
+		nextID = 0
+		var schedule func(at Time)
+		fire := func(now Time, id int) {
+			got = append(got, ev{now, id})
+			for _, d := range children(id) {
+				schedule(now + d)
+			}
+		}
+		h := &spawner{fire: fire}
+		schedule = func(at Time) {
+			if nextID >= budget {
+				return
+			}
+			id := nextID
+			nextID++
+			if id%2 == 0 {
+				e.Schedule(at, h, Arg{A: uint64(id)})
+			} else {
+				e.At(at, func(now Time) { fire(now, id) })
+			}
+		}
+		initial(schedule)
+		e.Run(0)
+
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// tally is a pre-bound handler that sums the Args it receives.
+type tally struct {
+	n   int
+	sum uint64
+}
+
+func (t *tally) Fire(_ Time, a Arg) { t.n++; t.sum += a.A + a.B }
+
+// Scheduling and dispatching a pre-bound handler allocates nothing, on the
+// Handler path and the Func path alike: the pending-event set is data.
+func TestScheduleAndStepAllocateNothing(t *testing.T) {
+	e := New()
+	h := &tally{}
+	ticks := 0
+	tick := Func(func(Time) { ticks++ })
+	allocs := testing.AllocsPerRun(1000, func() {
+		e.Schedule(e.Now()+1, h, Arg{A: 2, B: 1})
+		e.At(e.Now()+2, tick)
+		e.Step()
+		e.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("At + Step: %v allocs per op, want 0", allocs)
+	}
+	if h.n != 1001 || h.sum != 3*1001 || ticks != 1001 {
+		t.Fatalf("handler fired %d times (arg sum %d), func %d times; want 1001 each", h.n, h.sum, ticks)
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("pending = %d after every event fired", e.Pending())
+	}
+	for i, it := range e.queue[:2] {
+		if it.h != nil {
+			t.Fatalf("popped slot %d still holds its handler", i)
+		}
+	}
+}
+
 func TestDeterminism(t *testing.T) {
 	run := func(seed int64) []Time {
 		rng := rand.New(rand.NewSource(seed))

@@ -283,6 +283,59 @@ func TestPeekFindsDirtyCacheData(t *testing.T) {
 	}
 }
 
+// TestSpinIterationAllocatesNothing pins the simulator's hot path: once a
+// TTS waiter spins on an L1-resident lock, each iteration (a load hit, its
+// completion, the branch and the next load) schedules and fires two events
+// and allocates nothing: no closure per memory op, reschedule or
+// completion, and no string per op.
+func TestSpinIterationAllocatesNothing(t *testing.T) {
+	src := `
+	  li    a0, 1024
+	  cpuid t0
+	  bne   t0, r0, waiter
+	  li    t1, 1
+	  sw    t1, 0(a0)       # P0 takes the lock
+	  work  1000000         # and holds it for the whole test
+	  sw    r0, 0(a0)
+	  halt
+	waiter:
+	  work  2000            # P0's store lands first
+	spin:
+	  lw    t1, 0(a0)
+	  bne   t1, r0, spin
+	  halt
+	`
+	m, err := New(cfg(2, core.ModeBaseline), isa.MustAssemble(src), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range m.cpus {
+		c.Start()
+	}
+	for m.eng.Now() < 10_000 { // warm: P1's line is in its L1
+		m.eng.Step()
+	}
+	const iters = 1000
+	hits, memOps := m.st.Nodes[1].L1Hits, m.CPU(1).MemOps
+	allocs := testing.AllocsPerRun(iters, func() {
+		m.eng.Step() // the load's completion
+		m.eng.Step() // the branch and the next load
+	})
+	if allocs != 0 {
+		t.Fatalf("spin iteration: %v allocs, want 0", allocs)
+	}
+	// AllocsPerRun adds one warm-up run.
+	if got := m.st.Nodes[1].L1Hits - hits; got != iters+1 {
+		t.Fatalf("P1 made %d L1 hits over %d iterations; the test is not measuring the spin", got, iters+1)
+	}
+	if got := m.CPU(1).MemOps - memOps; got != iters+1 {
+		t.Fatalf("P1 issued %d loads over %d iterations", got, iters+1)
+	}
+	if m.CPU(0).Halted() || m.eng.Now() >= 1_000_000 {
+		t.Fatal("P0 released the lock during the measurement")
+	}
+}
+
 func TestDeadlockIsTyped(t *testing.T) {
 	// CPU 0 halts without reaching the barrier; CPU 1 parks there forever.
 	// The drained event queue must surface as a *DeadlockError naming the

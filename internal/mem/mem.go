@@ -4,7 +4,11 @@
 // between processors and their cache controllers.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+
+	"iqolb/internal/engine"
+)
 
 // Geometry of the simulated memory system (Table 1 of the paper).
 const (
@@ -198,14 +202,15 @@ func (k AccessKind) IsWrite() bool {
 }
 
 // Request is one memory operation presented by a processor to its cache
-// controller. Done is invoked exactly once when the operation completes,
-// at the completion cycle.
+// controller. Done fires exactly once, at the completion cycle, with the
+// Result packed by Result.Arg. The requester binds Done once, so a request
+// carries no per-operation closure.
 type Request struct {
 	Kind  AccessKind
 	Addr  Addr
 	Value uint64 // store/SC/swap datum
 	PC    int    // issuing instruction index, for the lock predictor
-	Done  func(Result)
+	Done  engine.Handler
 }
 
 // Result reports the outcome of a Request.
@@ -214,3 +219,31 @@ type Result struct {
 	OK      bool   // SC success; Enqolb: lock already free and acquired
 	TearOff bool   // the value came from a tear-off copy
 }
+
+const (
+	resultOK = 1 << iota
+	resultTearOff
+)
+
+// Arg packs the result as the event argument Request.Done receives.
+func (r Result) Arg() engine.Arg {
+	var flags uint64
+	if r.OK {
+		flags |= resultOK
+	}
+	if r.TearOff {
+		flags |= resultTearOff
+	}
+	return engine.Arg{A: r.Value, B: flags}
+}
+
+// ResultOf unpacks the event argument Request.Done receives.
+func ResultOf(a engine.Arg) Result {
+	return Result{Value: a.A, OK: a.B&resultOK != 0, TearOff: a.B&resultTearOff != 0}
+}
+
+// DoneFunc adapts a callback to Request.Done.
+type DoneFunc func(Result)
+
+// Fire calls f with the unpacked result.
+func (f DoneFunc) Fire(_ engine.Time, a engine.Arg) { f(ResultOf(a)) }

@@ -42,6 +42,15 @@ func TestPropertyAddrRoundTrip(t *testing.T) {
 	}
 }
 
+// Property: a Result survives the trip through an event argument, so a
+// completion delivered as an event reads what the controller sent.
+func TestPropertyResultArgRoundTrip(t *testing.T) {
+	f := func(r Result) bool { return ResultOf(r.Arg()) == r }
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestStatePredicates(t *testing.T) {
 	type want struct {
 		read, write, owner, dirty bool

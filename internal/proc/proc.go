@@ -17,7 +17,7 @@ import (
 	"iqolb/internal/mem"
 )
 
-// Port is the processor's view of its cache controller. Access must invoke
+// Port is the processor's view of its cache controller. Access must fire
 // req.Done exactly once, at the operation's completion cycle.
 type Port interface {
 	Access(req mem.Request)
@@ -56,9 +56,18 @@ type CPU struct {
 	halted bool
 	rng    uint64
 
-	// Pending-operation bookkeeping, read only by Stall when a run dies
-	// of deadlock: what the CPU is blocked on and since when.
-	waiting   string // "", or a description of the blocking operation
+	// Handlers bound once in New, so that scheduling the next cycle and
+	// completing a memory op (its Request.Done) allocate nothing.
+	stepFn engine.Func
+	done   mem.DoneFunc
+
+	// The operation the CPU is blocked on, if waiting: the instruction at
+	// waitPC (a memory op on waitAddr, or a barrier), issued at waitSince.
+	// complete reads the instruction back; Stall formats it, and nothing
+	// else does.
+	waiting   bool
+	waitPC    int
+	waitAddr  mem.Addr
 	waitSince engine.Time
 
 	// Statistics.
@@ -76,7 +85,10 @@ func New(id, nprocs int, cfg Config, prog *isa.Program, eng *engine.Engine, port
 		cfg.IssueWidth = 1
 	}
 	seed := cfg.Seed + uint64(id)*0x9e3779b97f4a7c15 + 1
-	return &CPU{id: id, nprocs: nprocs, cfg: cfg, prog: prog, eng: eng, port: port, plat: plat, rng: seed}
+	c := &CPU{id: id, nprocs: nprocs, cfg: cfg, prog: prog, eng: eng, port: port, plat: plat, rng: seed}
+	c.stepFn = c.step
+	c.done = c.complete
+	return c
 }
 
 // ID returns the processor number.
@@ -117,18 +129,20 @@ type Stall struct {
 // Stall snapshots the CPU's blocking state (deadlock diagnosis; the
 // machine is quiescent when this is called).
 func (c *CPU) Stall() Stall {
-	return Stall{
-		CPU:     c.id,
-		PC:      c.pc,
-		Halted:  c.halted,
-		Waiting: c.waiting,
-		Since:   uint64(c.waitSince),
+	s := Stall{CPU: c.id, PC: c.pc, Halted: c.halted, Since: uint64(c.waitSince)}
+	if c.waiting {
+		if in := c.prog.Code[c.waitPC]; in.Op == isa.OpBar {
+			s.Waiting = fmt.Sprintf("barrier %d", in.Imm)
+		} else {
+			s.Waiting = fmt.Sprintf("%s %#x", in.Op, uint64(c.waitAddr))
+		}
 	}
+	return s
 }
 
 // Start schedules the first cycle.
 func (c *CPU) Start() {
-	c.eng.After(0, c.step)
+	c.eng.After(0, c.stepFn)
 }
 
 func (c *CPU) nextRand(bound int64) uint64 {
@@ -164,23 +178,20 @@ func (c *CPU) step(now engine.Time) {
 			c.Instructions++
 			c.WorkCycles += uint64(in.Imm)
 			c.pc++
-			c.eng.At(now+engine.Time(in.Imm)+1, c.step)
+			c.eng.At(now+engine.Time(in.Imm)+1, c.stepFn)
 			return
 		case isa.OpWorkr:
 			c.Instructions++
 			d := c.regs[in.Rs]
 			c.WorkCycles += d
 			c.pc++
-			c.eng.At(now+engine.Time(d)+1, c.step)
+			c.eng.At(now+engine.Time(d)+1, c.stepFn)
 			return
 		case isa.OpBar:
 			c.Instructions++
+			c.waiting, c.waitPC, c.waitSince = true, c.pc, now
 			c.pc++
-			c.waiting, c.waitSince = fmt.Sprintf("barrier %d", in.Imm), now
-			c.plat.Barrier(in.Imm, c.id, func() {
-				c.waiting = ""
-				c.eng.After(1, c.step)
-			})
+			c.plat.Barrier(in.Imm, c.id, c.leaveBarrier)
 			return
 		case isa.OpHalt:
 			c.Instructions++
@@ -192,7 +203,13 @@ func (c *CPU) step(now engine.Time) {
 			c.execALU(in)
 		}
 	}
-	c.eng.At(now+1, c.step)
+	c.eng.At(now+1, c.stepFn)
+}
+
+// leaveBarrier is the CPU's barrier release: it resumes the next cycle.
+func (c *CPU) leaveBarrier() {
+	c.waiting = false
+	c.eng.After(1, c.stepFn)
 }
 
 func (c *CPU) execALU(in isa.Instr) {
@@ -317,32 +334,30 @@ func (c *CPU) issueMem(in isa.Instr, now engine.Time) {
 	}
 	pc := c.pc
 	c.pc++
-	c.waiting, c.waitSince = fmt.Sprintf("%s %#x", in.Op, uint64(addr)), now
-	c.port.Access(mem.Request{
-		Kind:  kind,
-		Addr:  addr,
-		Value: value,
-		PC:    pc,
-		Done: func(res mem.Result) {
-			c.waiting = ""
-			done := c.eng.Now()
-			c.MemCycles += uint64(done - now)
-			if res.TearOff {
-				c.SpinResults++
-			}
-			switch in.Op {
-			case isa.OpLw, isa.OpLl, isa.OpEnqolb:
-				c.write(in.Rd, res.Value)
-			case isa.OpSc:
-				if res.OK {
-					c.write(in.Rt, 1)
-				} else {
-					c.write(in.Rt, 0)
-				}
-			case isa.OpSwap:
-				c.write(in.Rt, res.Value)
-			}
-			c.eng.After(1, c.step)
-		},
-	})
+	c.waiting, c.waitPC, c.waitAddr, c.waitSince = true, pc, addr, now
+	c.port.Access(mem.Request{Kind: kind, Addr: addr, Value: value, PC: pc, Done: c.done})
+}
+
+// complete is the CPU's Request.Done: it retires the outstanding memory
+// instruction with its result and resumes the next cycle.
+func (c *CPU) complete(res mem.Result) {
+	in := &c.prog.Code[c.waitPC]
+	c.waiting = false
+	c.MemCycles += uint64(c.eng.Now() - c.waitSince)
+	if res.TearOff {
+		c.SpinResults++
+	}
+	switch in.Op {
+	case isa.OpLw, isa.OpLl, isa.OpEnqolb:
+		c.write(in.Rd, res.Value)
+	case isa.OpSc:
+		if res.OK {
+			c.write(in.Rt, 1)
+		} else {
+			c.write(in.Rt, 0)
+		}
+	case isa.OpSwap:
+		c.write(in.Rt, res.Value)
+	}
+	c.eng.After(1, c.stepFn)
 }

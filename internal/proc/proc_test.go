@@ -23,7 +23,7 @@ func newFakePort(eng *engine.Engine, lat engine.Time) *fakePort {
 
 func (f *fakePort) Access(req mem.Request) {
 	f.ops = append(f.ops, req.Kind)
-	f.eng.After(f.latency, func(engine.Time) {
+	f.eng.After(f.latency, func(now engine.Time) {
 		var res mem.Result
 		switch req.Kind {
 		case mem.Load, mem.LoadLinked:
@@ -37,7 +37,7 @@ func (f *fakePort) Access(req mem.Request) {
 			res.Value = f.mem[req.Addr]
 			f.mem[req.Addr] = req.Value
 		}
-		req.Done(res)
+		req.Done.Fire(now, res.Arg())
 	})
 }
 
@@ -266,6 +266,53 @@ func TestUnalignedAccessPanics(t *testing.T) {
 		}
 	}()
 	eng.Run(0)
+}
+
+// stuckPort accepts every access and never completes one.
+type stuckPort struct{}
+
+func (stuckPort) Access(mem.Request) {}
+
+// The deadlock dump names the blocking operation and its address, and the
+// cycle it was issued (one instruction per cycle at width 1), though the
+// CPU records only the instruction and the address and formats them in
+// Stall alone.
+func TestStallNamesBlockingOp(t *testing.T) {
+	for _, tc := range []struct {
+		src, want string
+		since     uint64
+	}{
+		{"li a0, 64\n li t0, 1\n sc t0, 0(a0)\n halt", "sc 0x40", 2},
+		{"li a0, 64\n lw t0, 0(a0)\n halt", "lw 0x40", 1},
+		{"li a0, 128\n li t0, 5\n li t1, 6\n swap t0, 0(a0)\n halt", "swap 0x80", 3},
+	} {
+		eng := engine.New()
+		cpu := New(0, 1, Config{IssueWidth: 1}, isa.MustAssemble(tc.src), eng, stuckPort{}, &fakePlat{procs: 1})
+		cpu.Start()
+		eng.Run(0)
+		if s := cpu.Stall(); s.Waiting != tc.want || s.Since != tc.since || s.Halted {
+			t.Errorf("%q: Stall() = %+v, want waiting %q since %d", tc.want, s, tc.want, tc.since)
+		}
+	}
+}
+
+func TestStallEmptyAfterCompletion(t *testing.T) {
+	cpu, _, _ := run1(t, "li a0, 64\n lw t0, 0(a0)\n halt", 1)
+	if s := cpu.Stall(); s.Waiting != "" || !s.Halted {
+		t.Fatalf("Stall() after the op completed = %+v, want not waiting, halted", s)
+	}
+}
+
+func TestStallNamesBarrier(t *testing.T) {
+	eng := engine.New()
+	// Two processors are expected at the barrier; only one ever arrives.
+	cpu := New(0, 1, Config{IssueWidth: 1}, isa.MustAssemble("li t0, 1\n bar 7\n halt"),
+		eng, newFakePort(eng, 1), &fakePlat{procs: 2})
+	cpu.Start()
+	eng.Run(0)
+	if s := cpu.Stall(); s.Waiting != "barrier 7" || s.Since != 1 {
+		t.Fatalf("Stall() = %+v, want waiting %q since 1", s, "barrier 7")
+	}
 }
 
 func TestInstructionCounting(t *testing.T) {
