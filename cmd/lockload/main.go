@@ -52,6 +52,7 @@ import (
 	chaoslib "iqolb/internal/chaos"
 	"iqolb/internal/cliconfig"
 	"iqolb/internal/loadgen"
+	"iqolb/locks"
 )
 
 func main() {
@@ -121,7 +122,7 @@ func main() {
 	usage(err)
 	policies, err := cliconfig.Policies(*policyFlag, *addr)
 	usage(err)
-	kind, err := cliconfig.LockKind(*lockKind)
+	kind, err := locks.ParseKind(*lockKind)
 	usage(err)
 
 	var results []loadgen.Result
@@ -161,7 +162,7 @@ func runThroughput(clientList, windowList, flushListFlag string, opsPer, resourc
 	usage(err)
 	delays, err := cliconfig.Durations(flushListFlag, "flush delay")
 	usage(err)
-	kind, err := cliconfig.LockKind(lockKind)
+	kind, err := locks.ParseKind(lockKind)
 	usage(err)
 
 	var results []loadgen.ThroughputResult
@@ -248,7 +249,7 @@ func runPhased(policyFlag, clientList, lockKind string, shards, queue, scale int
 	if len(clients) != 1 {
 		usage(fmt.Errorf("-phases needs exactly one client count, got %v", clients))
 	}
-	kind, err := cliconfig.LockKind(lockKind)
+	kind, err := locks.ParseKind(lockKind)
 	usage(err)
 	schedule := loadgen.DefaultPhases()
 	if scale > 1 {

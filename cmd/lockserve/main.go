@@ -52,6 +52,7 @@ import (
 
 	"iqolb/internal/cliconfig"
 	"iqolb/internal/service"
+	"iqolb/locks"
 )
 
 func main() {
@@ -82,7 +83,7 @@ func main() {
 
 	pol, err := service.ParsePolicy(*policy)
 	usage(err)
-	kind, err := cliconfig.LockKind(*lockKind)
+	kind, err := locks.ParseKind(*lockKind)
 	usage(err)
 	svc, err := service.New(service.Config{
 		Shards:           *shards,

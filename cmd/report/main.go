@@ -30,10 +30,6 @@ func main() {
 		traceCmd(os.Args[2:])
 		return
 	}
-	if len(os.Args) > 1 && os.Args[1] == "crosscheck" {
-		crosscheckCmd(os.Args[2:])
-		return
-	}
 	var (
 		quick = flag.Bool("quick", false, "small machine, scaled-down workloads")
 

@@ -239,48 +239,3 @@ func TestBandTunerActuatesLocks(t *testing.T) {
 		t.Fatalf("idle tuning = %+v, want low band %+v", v, valuesFor(BandLow))
 	}
 }
-
-func TestStandaloneTunerWaitBands(t *testing.T) {
-	tel := &LockTelemetry{}
-	tun := locks.NewTuning()
-	tr := NewTuner(tel, tun)
-
-	// Long mean waits: high band.
-	for i := 0; i < 6; i++ {
-		for j := 0; j < 100; j++ {
-			tel.Record(50_000, 1000)
-		}
-		tr.Tick(dt)
-	}
-	if tr.Band() != BandHigh {
-		t.Fatalf("band after long waits = %v, want high", tr.Band())
-	}
-	// Short waits: back down to low.
-	for i := 0; i < 8; i++ {
-		for j := 0; j < 100; j++ {
-			tel.Record(100, 0)
-		}
-		tr.Tick(dt)
-	}
-	if tr.Band() != BandLow {
-		t.Fatalf("band after short waits = %v, want low", tr.Band())
-	}
-	if v := tun.Values(); v != valuesFor(BandLow) {
-		t.Fatalf("tuning = %+v, want low band", v)
-	}
-}
-
-func TestTelemetryHook(t *testing.T) {
-	tel := &LockTelemetry{}
-	l, err := locks.New(locks.KindTTS, locks.WithHooks(tel.Hook()))
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	for i := 0; i < 5; i++ {
-		l.Lock()
-		l.Unlock()
-	}
-	if got := tel.acquires.Load(); got != 5 {
-		t.Fatalf("telemetry acquires = %d, want 5", got)
-	}
-}

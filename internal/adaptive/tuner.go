@@ -1,13 +1,8 @@
 package adaptive
 
-import (
-	"sync/atomic"
-	"time"
+import "iqolb/locks"
 
-	"iqolb/locks"
-)
-
-// Band is a quantized contention level. The tuners map estimators onto
+// Band is a quantized contention level. The tuner maps its estimator onto
 // bands rather than continuous values so the locks.Tuning actuator is
 // written only on band transitions — retuning is cheap for the readers
 // (one atomic load per acquire) but pointless churn still costs the
@@ -39,7 +34,7 @@ func (b Band) String() string {
 	return "unknown"
 }
 
-// valuesFor is the band→parameters map shared by both tuners. The
+// valuesFor is the controller's band→parameters map. The
 // numbers move the two delay knobs the paper cares about (initial and
 // cap of the inserted delay) together with the spin-then-queue lock's
 // optimism budget.
@@ -109,79 +104,3 @@ func (t *bandTuner) tick(meanQueue float64) {
 	t.dwell = 0
 	t.tun.Set(valuesFor(next))
 }
-
-// LockTelemetry is an atomic sink for the locks.Hooks.OnAcquired
-// callback, shared safely across holders. Wire it with Hook().
-type LockTelemetry struct {
-	acquires  atomic.Uint64
-	waitSumNS atomic.Uint64
-}
-
-// Record accumulates one acquisition's wait. Matches the OnAcquired
-// signature so it can be installed directly.
-func (t *LockTelemetry) Record(waitNS, handoffNS uint64) {
-	t.acquires.Add(1)
-	t.waitSumNS.Add(waitNS)
-}
-
-// Hook returns a locks.Hooks that feeds this sink.
-func (t *LockTelemetry) Hook() *locks.Hooks {
-	return &locks.Hooks{OnAcquired: t.Record}
-}
-
-// Tuner is the standalone lock tuner used where there is no serving
-// layer to sample — lockbench's tuned mode. It estimates contention
-// from the mean acquisition wait over each window and drives the same
-// band map as the controller.
-type Tuner struct {
-	tel  *LockTelemetry
-	tun  *locks.Tuning
-	band *bandTuner
-
-	prevAcq  uint64
-	prevWait uint64
-
-	// LowWaitNS and HighWaitNS are the mean-wait band edges. The
-	// defaults (2µs, 20µs) separate "CAS retried a few times" from
-	// "queued behind several critical sections" on current hardware.
-	LowWaitNS  float64
-	HighWaitNS float64
-}
-
-// NewTuner builds a tuner over a telemetry sink and a tuning cell.
-func NewTuner(tel *LockTelemetry, tun *locks.Tuning) *Tuner {
-	return &Tuner{
-		tel:        tel,
-		tun:        tun,
-		band:       newBandTuner(tun, 2),
-		LowWaitNS:  2_000,
-		HighWaitNS: 20_000,
-	}
-}
-
-// Tick closes one window: difference the sink, estimate mean wait, and
-// feed the band tuner. The queue-depth scale expected by bandTuner is
-// synthesized from the wait bands (0, 1, 4 ≈ low/mid/high centers).
-func (t *Tuner) Tick(time.Duration) {
-	acq := t.tel.acquires.Load()
-	wait := t.tel.waitSumNS.Load()
-	dAcq, dWait := acq-t.prevAcq, wait-t.prevWait
-	t.prevAcq, t.prevWait = acq, wait
-	if dAcq == 0 {
-		return
-	}
-	mean := float64(dWait) / float64(dAcq)
-	var proxy float64
-	switch {
-	case mean < t.LowWaitNS:
-		proxy = 0
-	case mean < t.HighWaitNS:
-		proxy = 1
-	default:
-		proxy = 4
-	}
-	t.band.tick(proxy)
-}
-
-// Band reports the tuner's current band.
-func (t *Tuner) Band() Band { return t.band.band }

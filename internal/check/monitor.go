@@ -370,7 +370,7 @@ func (mo *Monitor) checkLine(line mem.LineID, now engine.Time) {
 			Detail: fmt.Sprintf("writable copy coexists with %d other readable copies", readers-1)})
 	case exclusive+owned > 1:
 		mo.report(Violation{At: now, Kind: "swmr", Line: line, Node: exclNode,
-			Detail: fmt.Sprintf("%d owning copies (E/M/O)", exclusive + owned)})
+			Detail: fmt.Sprintf("%d owning copies (E/M/O)", exclusive+owned)})
 	}
 	// Data-value invariant: every readable copy agrees with every other
 	// copy and with the last committed store where one is known.

@@ -1,5 +1,5 @@
 // Package cliconfig holds the flag-value parsing shared by the
-// serving-layer CLIs (cmd/lockserve, cmd/lockload, cmd/lockbench).
+// serving-layer CLIs (cmd/lockserve, cmd/lockload).
 // Each helper turns one comma-list or keyword flag into validated
 // values; the CLIs keep only their flag declarations and wiring. All
 // errors are plain values — the CLIs decide exit codes (the repo
@@ -15,13 +15,12 @@ import (
 	"time"
 
 	"iqolb/internal/service"
-	"iqolb/internal/workload"
 	"iqolb/locks"
 )
 
 // PositiveInts parses a comma-separated list of positive integers
-// (client counts, GOMAXPROCS sweeps). what names the quantity in
-// errors.
+// (client counts, pipelining windows, chaos seeds). what names the
+// quantity in errors.
 func PositiveInts(s, what string) ([]int, error) {
 	var out []int
 	for _, f := range strings.Split(s, ",") {
@@ -48,28 +47,6 @@ func Durations(s, what string) ([]time.Duration, error) {
 	return out, nil
 }
 
-// LockKind validates a single lock-kind name against the registry.
-func LockKind(s string) (locks.Kind, error) {
-	return locks.ParseKind(s)
-}
-
-// LockKinds parses a comma-separated list of lock kinds, or "all" for
-// every registered kind in canonical order.
-func LockKinds(s string) ([]locks.Kind, error) {
-	if s == "all" {
-		return locks.Kinds(), nil
-	}
-	var kinds []locks.Kind
-	for _, n := range strings.Split(s, ",") {
-		k, err := locks.ParseKind(strings.TrimSpace(n))
-		if err != nil {
-			return nil, err
-		}
-		kinds = append(kinds, k)
-	}
-	return kinds, nil
-}
-
 // Policies parses a grant-policy flag for the flat load runner:
 // "handoff", "broadcast", or "both". "both" needs an in-process server
 // (an external server's policy is fixed), signalled by an empty addr.
@@ -85,29 +62,6 @@ func Policies(s, addr string) ([]service.Policy, error) {
 		return nil, err
 	}
 	return []service.Policy{p}, nil
-}
-
-// Benches parses a comma-separated list of workload signature names, or
-// "all" for every signature that has a native analogue (dedicated
-// pollers excluded).
-func Benches(s string) ([]string, error) {
-	if s == "all" {
-		var names []string
-		for _, sp := range append(workload.Specs(), workload.MicroSpecs()...) {
-			if sp.Params.PollProcs > 0 {
-				continue // no native analogue for dedicated pollers
-			}
-			names = append(names, sp.Name)
-		}
-		return names, nil
-	}
-	names := strings.Split(s, ",")
-	for _, n := range names {
-		if _, err := workload.ByName(n); err != nil {
-			return nil, err
-		}
-	}
-	return names, nil
 }
 
 // ExitCode maps an error onto the repo's CLI exit-code convention:

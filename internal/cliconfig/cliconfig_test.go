@@ -20,23 +20,6 @@ func TestPositiveInts(t *testing.T) {
 	}
 }
 
-func TestLockKinds(t *testing.T) {
-	all, err := LockKinds("all")
-	if err != nil || len(all) != len(locks.Kinds()) {
-		t.Fatalf("LockKinds(all) = %v, %v", all, err)
-	}
-	got, err := LockKinds("mcs, ticket")
-	if err != nil || len(got) != 2 || got[0] != locks.KindMCS || got[1] != locks.KindTicket {
-		t.Fatalf("LockKinds = %v, %v", got, err)
-	}
-	if _, err := LockKinds("zigzag"); err == nil {
-		t.Fatal("unknown kind accepted")
-	}
-	if _, err := LockKind("zigzag"); err == nil {
-		t.Fatal("LockKind accepted unknown kind")
-	}
-}
-
 func TestPolicies(t *testing.T) {
 	both, err := Policies("both", "")
 	if err != nil || len(both) != 2 {
@@ -51,16 +34,6 @@ func TestPolicies(t *testing.T) {
 	}
 	if _, err := Policies("zigzag", ""); err == nil {
 		t.Fatal("unknown policy accepted")
-	}
-}
-
-func TestBenches(t *testing.T) {
-	all, err := Benches("all")
-	if err != nil || len(all) == 0 {
-		t.Fatalf("Benches(all) = %v, %v", all, err)
-	}
-	if _, err := Benches("no-such-bench"); err == nil {
-		t.Fatal("unknown bench accepted")
 	}
 }
 

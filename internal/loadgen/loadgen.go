@@ -2,10 +2,8 @@
 // service: it replays internal/workload signatures over N real TCP
 // client connections against a lockserve-protocol server (in-process by
 // default, or any -addr), measuring client-observed grant latency,
-// throughput, and fairness. It is the serving-layer sibling of
-// internal/lockbench — same signatures, same seeded PRNG family, but
-// the contention point is a network lease service instead of an
-// in-process lock.
+// throughput, and fairness. The contention point is a network lease
+// service, not an in-process lock.
 package loadgen
 
 import (
@@ -37,7 +35,7 @@ type Config struct {
 	Policy     service.Policy `json:"policy,omitempty"`
 	QueueDepth int            `json:"queue_depth,omitempty"`
 	// Scale divides the signature's critical-section total (0 or 1 =
-	// unscaled), exactly like lockbench.
+	// unscaled), exactly like the simulator's -scale.
 	Scale int `json:"scale,omitempty"`
 	// Seed drives the per-client PRNGs (resource choice and think
 	// jitter); the operation sequence is reproducible, the timing is not.
@@ -48,8 +46,8 @@ type Config struct {
 	MaxWait time.Duration `json:"max_wait,omitempty"`
 }
 
-// resolveParams maps the config onto the effective signature, mirroring
-// lockbench.resolveParams: scaled, divisible by the client count.
+// resolveParams maps the config onto the effective signature: scaled,
+// divisible by the client count.
 func (c Config) resolveParams() (workload.Params, error) {
 	spec, err := workload.ByName(c.Bench)
 	if err != nil {
@@ -73,7 +71,7 @@ func (c Config) resolveParams() (workload.Params, error) {
 }
 
 // work burns roughly n units of private compute (one cheap loop
-// iteration per simulated cycle, as in lockbench).
+// iteration per simulated cycle).
 func work(n int64) {
 	for i := int64(0); i < n; i++ {
 	}
@@ -229,7 +227,7 @@ func Run(cfg Config) (Result, error) {
 		go func(g int) {
 			defer wg.Done()
 			owner := fmt.Sprintf("client-%d", g)
-			// Same PRNG family and per-actor splitting as lockbench.
+			// One seeded stream per client, split by a golden-ratio stride.
 			str := faults.NewStream(cfg.Seed + uint64(g)*0x9e3779b97f4a7c15 + 1)
 			for iter := 0; iter < p.Iterations; iter++ {
 				for cs := 0; cs < csPerClient; cs++ {

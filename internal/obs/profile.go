@@ -57,11 +57,11 @@ type BarrierProfile struct {
 // profiles without their time series, plus bus and barrier aggregates. It
 // is small enough to embed in a harness manifest record.
 type Snapshot struct {
-	SchemaVersion int           `json:"schema_version"`
-	Events        int           `json:"events"`
-	EndCycle      uint64        `json:"end_cycle"`
-	Locks         []LockProfile `json:"locks"`
-	Bus           BusProfile    `json:"bus"`
+	SchemaVersion int            `json:"schema_version"`
+	Events        int            `json:"events"`
+	EndCycle      uint64         `json:"end_cycle"`
+	Locks         []LockProfile  `json:"locks"`
+	Bus           BusProfile     `json:"bus"`
 	Barriers      BarrierProfile `json:"barriers"`
 }
 

@@ -41,8 +41,8 @@ func (h *Histogram) Add(v uint64) {
 
 // Merge folds every sample of o into h (bucket-exact: merging histograms
 // is equivalent to having Added all samples into one). o is unchanged; a
-// nil or empty o is a no-op. Used to combine per-goroutine shard
-// histograms after a native lockbench run.
+// nil or empty o is a no-op. Used to combine per-client and per-shard
+// histograms after a load run and in a service snapshot.
 func (h *Histogram) Merge(o *Histogram) {
 	if o == nil || o.Count == 0 {
 		return
@@ -169,8 +169,7 @@ func (h *Histogram) String() string {
 
 // Jain is Jain's fairness index over per-actor completed-work counts:
 // 1 = perfectly even, 1/n = one actor did everything, 0 = no work (or
-// no actors). Shared by the native harnesses (lockbench per-goroutine
-// ops, the service load generator's per-client grants).
+// no actors). The service load generator feeds it per-client grants.
 func Jain(xs []uint64) float64 {
 	if len(xs) == 0 {
 		return 0

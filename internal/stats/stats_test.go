@@ -247,8 +247,7 @@ func TestHistogramMergeSelfDoubling(t *testing.T) {
 	mergeEquals(t, &h, []uint64{3, 3, 700, 3, 3, 700})
 }
 
-// TestJain pins the fairness index (moved here from lockbench when the
-// service load generator began sharing it).
+// TestJain pins the fairness index.
 func TestJain(t *testing.T) {
 	if f := Jain([]uint64{10, 10, 10, 10}); f != 1 {
 		t.Fatalf("even shares: %f", f)

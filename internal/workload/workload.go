@@ -344,9 +344,8 @@ func Generate(p Params, prim synclib.Primitive, procs int) (*Build, error) {
 // contention distribution: HotPct of choices hit index zero, the rest
 // spread uniformly. rand must return a uniform value in [0, n). The
 // draw sequence (at most two draws) is fixed, so seeded callers replay
-// identically; it deliberately mirrors emitLockChoice, and the native
-// harnesses (lockbench, the service load generator) share it so every
-// layer of the study samples the same distribution.
+// identically; it deliberately mirrors emitLockChoice, so the service
+// load generator samples the same distribution as the simulator.
 func (p Params) PickLock(rand func(n int64) int64) int {
 	switch {
 	case p.Locks == 1 || p.HotPct >= 100:

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math/rand"
 	"testing"
 
 	"iqolb/internal/core"
@@ -134,6 +135,61 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName("doom"); err == nil {
 		t.Fatal("unknown name accepted")
+	}
+}
+
+// TestPickLockDistribution draws 10 000 seeded picks per signature. Every
+// lock index is reached, no call makes more than two draws, and for a
+// skewed signature the HotPct draw alone sends HotPct % ± 2 % of the
+// picks to index 0.
+func TestPickLockDistribution(t *testing.T) {
+	const picks = 10_000
+	for _, tc := range []struct {
+		bench  string
+		locks  int
+		hotPct int
+	}{
+		{"multilock", 16, 0},
+		{"hotlock", 1, 100},
+		{"radiosity", 8, 60},
+	} {
+		t.Run(tc.bench, func(t *testing.T) {
+			spec, err := ByName(tc.bench)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := spec.Params
+			if p.Locks != tc.locks || p.HotPct != tc.hotPct {
+				t.Fatalf("%s: Locks %d HotPct %d, want %d %d", tc.bench, p.Locks, p.HotPct, tc.locks, tc.hotPct)
+			}
+			r := rand.New(rand.NewSource(7))
+			hits := make([]int, p.Locks)
+			hotDraws := 0 // picks settled by the HotPct draw alone
+			for i := 0; i < picks; i++ {
+				draws := 0
+				idx := p.PickLock(func(n int64) int64 { draws++; return r.Int63n(n) })
+				if draws > 2 {
+					t.Fatalf("pick %d made %d draws", i, draws)
+				}
+				if idx < 0 || idx >= p.Locks {
+					t.Fatalf("lock index %d out of range [0, %d)", idx, p.Locks)
+				}
+				hits[idx]++
+				if draws == 1 && p.HotPct > 0 && p.HotPct < 100 {
+					hotDraws++
+				}
+			}
+			for idx, n := range hits {
+				if n == 0 {
+					t.Fatalf("lock %d never picked", idx)
+				}
+			}
+			if p.HotPct > 0 && p.HotPct < 100 {
+				if got := 100 * float64(hotDraws) / picks; got < float64(p.HotPct)-2 || got > float64(p.HotPct)+2 {
+					t.Fatalf("HotPct draw sent %.1f%% of picks to lock 0, want %d%% ± 2%%", got, p.HotPct)
+				}
+			}
+		})
 	}
 }
 
