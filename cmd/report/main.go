@@ -3,10 +3,10 @@
 // the paper's configuration: 32 processors, unscaled workloads.
 //
 // Each section's simulations fan out across a bounded worker pool (-j,
-// default all CPUs) and are memoized in the on-disk result cache, so
-// re-running the report only simulates what changed.
+// default all CPUs). With -artifacts DIR, each section's per-job results
+// and manifest land in DIR/<section>/.
 //
-//	report             # full scale (seconds on a warm cache)
+//	report             # full scale (seconds)
 //	report -quick      # 8 processors, workloads divided by 8
 //
 // The trace subcommand runs one traced simulation instead and writes a
@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 
 	"iqolb"
@@ -34,19 +35,23 @@ func main() {
 		quick = flag.Bool("quick", false, "small machine, scaled-down workloads")
 
 		jobs      = flag.Int("j", runtime.NumCPU(), "parallel simulation workers")
-		noCache   = flag.Bool("no-cache", false, "always simulate; do not read or write the result cache")
-		cacheDir  = flag.String("cache-dir", iqolb.DefaultCacheDir, "on-disk result cache location")
-		artifacts = flag.String("artifacts", "", "write per-job result JSON and the run manifest to this directory")
+		artifacts = flag.String("artifacts", "", "write each section's per-job result JSON and run manifest under this directory")
 		quiet     = flag.Bool("q", false, "suppress progress output on stderr")
 	)
 	flag.Parse()
 
-	opt := iqolb.Options{Jobs: *jobs, CacheDir: *cacheDir, ArtifactDir: *artifacts}
-	if *noCache {
-		opt.CacheDir = ""
-	}
+	opt := iqolb.Options{Jobs: *jobs}
 	if !*quiet {
 		opt.Progress = os.Stderr
+	}
+	// Each section runs as its own batch, so each writes its artifacts
+	// and manifest into its own subdirectory.
+	batch := func(section string) iqolb.Options {
+		o := opt
+		if *artifacts != "" {
+			o.ArtifactDir = filepath.Join(*artifacts, section)
+		}
+		return o
 	}
 
 	procs, scale, sweepProcs, sweepCS := 32, 1, 16, 1024
@@ -69,10 +74,10 @@ func main() {
 	fmt.Println(iqolb.Table1())
 	fmt.Println(iqolb.Table2())
 
-	t3, _, err := iqolb.Table3(opt, procs, scale)
+	t3, _, err := iqolb.Table3(batch("table3"), procs, scale)
 	emit("table3", t3, err)
 
-	f1, _, err := iqolb.Figure1(opt, sweepProcs, sweepCS)
+	f1, _, err := iqolb.Figure1(batch("figure1"), sweepProcs, sweepCS)
 	emit("figure1", f1, err)
 
 	f2, _, err := iqolb.Figure2()
@@ -82,13 +87,13 @@ func main() {
 	f4, _, err := iqolb.Figure4()
 	emit("figure4", f4, err)
 
-	sc, err := iqolb.Sweep(opt, iqolb.SweepSpec{
+	sc, err := iqolb.Sweep(batch("scaling"), iqolb.SweepSpec{
 		Kind: iqolb.SweepScalingKind, Bench: "raytrace",
 		ProcCounts: []int{1, 2, 4, 8, 16, 32}, Scale: scale,
 	})
 	emit("scaling", sc, err)
 
-	to, err := iqolb.Sweep(opt, iqolb.SweepSpec{
+	to, err := iqolb.Sweep(batch("timeout"), iqolb.SweepSpec{
 		Kind: iqolb.SweepTimeoutKind, Procs: sweepProcs, TotalCS: sweepCS,
 		Budgets: []iqolb.Time{200, 500, 1000, 5000, 10000, 50000},
 	})
@@ -98,7 +103,7 @@ func main() {
 		iqolb.SweepRetentionKind, iqolb.SweepCollocationKind,
 		iqolb.SweepPredictorKind, iqolb.SweepGeneralizedKind,
 	} {
-		out, err := iqolb.Sweep(opt, iqolb.SweepSpec{Kind: kind, Procs: sweepProcs, TotalCS: sweepCS})
+		out, err := iqolb.Sweep(batch(string(kind)), iqolb.SweepSpec{Kind: kind, Procs: sweepProcs, TotalCS: sweepCS})
 		emit(string(kind), out, err)
 	}
 }

@@ -9,8 +9,7 @@
 //	sweep -study generalized                   # §6 Generalized IQOLB
 //
 // Every study fans its configurations out across a bounded worker pool
-// (-j, default all CPUs) and memoizes completed simulations on disk
-// (-cache-dir, -no-cache); the rendered tables are byte-identical to a
+// (-j, default all CPUs); the rendered tables are byte-identical to a
 // serial run regardless of worker count.
 package main
 
@@ -34,12 +33,10 @@ func main() {
 		scale = flag.Int("scale", 1, "divide the scaling-study workload by this factor")
 
 		jobs      = flag.Int("j", runtime.NumCPU(), "parallel simulation workers")
-		noCache   = flag.Bool("no-cache", false, "always simulate; do not read or write the result cache")
-		cacheDir  = flag.String("cache-dir", iqolb.DefaultCacheDir, "on-disk result cache location")
 		artifacts = flag.String("artifacts", "", "write per-job result JSON and the run manifest to this directory")
 		quiet     = flag.Bool("q", false, "suppress progress output on stderr")
 		checked   = flag.Bool("check", false, "run every job under the protocol-invariant monitors (internal/check)")
-		traceDir  = flag.String("trace-dir", "", "trace every job: write per-job Perfetto exports to this directory (disables the result cache for the run)")
+		traceDir  = flag.String("trace-dir", "", "trace every job: write per-job Perfetto exports to this directory")
 
 		faultsFlag = flag.String("faults", "", `inject faults into every job: comma-separated kind names or "all"`)
 		faultSeed  = flag.Uint64("fault-seed", 1, "deterministic seed for the fault plan")
@@ -48,7 +45,7 @@ func main() {
 	)
 	flag.Parse()
 
-	opt := iqolb.Options{Jobs: *jobs, CacheDir: *cacheDir, ArtifactDir: *artifacts, Check: *checked, Obs: *traceDir, KeepGoing: *keepGoing}
+	opt := iqolb.Options{Jobs: *jobs, ArtifactDir: *artifacts, Check: *checked, Obs: *traceDir, KeepGoing: *keepGoing}
 	if *faultsFlag != "" {
 		kinds, err := iqolb.ParseFaultKinds(*faultsFlag)
 		if err != nil {
@@ -56,9 +53,6 @@ func main() {
 			os.Exit(2)
 		}
 		opt.Faults = &iqolb.FaultPlan{Seed: *faultSeed, Kinds: kinds, Rate: *faultRate, Degrade: true}
-	}
-	if *noCache {
-		opt.CacheDir = ""
 	}
 	if !*quiet {
 		opt.Progress = os.Stderr

@@ -3,9 +3,8 @@
 // with the published numbers.
 //
 // The 4 × 5 benchmark/system grid fans out across a bounded worker pool
-// (-j, default all CPUs), and each cell's simulation is memoized on disk
-// so a repeated run is served entirely from cache. The rendered table is
-// byte-identical to a serial (-j 1) run regardless of worker count.
+// (-j, default all CPUs). The rendered table is byte-identical to a
+// serial (-j 1) run regardless of worker count.
 //
 //	table3                     # full scale, 32 processors (the paper's setup)
 //	table3 -procs 8 -scale 4   # quick smoke run
@@ -28,18 +27,13 @@ func main() {
 		scale = flag.Int("scale", 1, "divide the workloads by this factor")
 
 		jobs      = flag.Int("j", runtime.NumCPU(), "parallel simulation workers")
-		noCache   = flag.Bool("no-cache", false, "always simulate; do not read or write the result cache")
-		cacheDir  = flag.String("cache-dir", iqolb.DefaultCacheDir, "on-disk result cache location")
 		artifacts = flag.String("artifacts", "", "write per-job result JSON and the run manifest to this directory")
 		quiet     = flag.Bool("q", false, "suppress progress output on stderr")
 		keepGoing = flag.Bool("keep-going", false, "run every cell even after one fails; failed cells are recorded in the manifest")
 	)
 	flag.Parse()
 
-	opt := iqolb.Options{Jobs: *jobs, CacheDir: *cacheDir, ArtifactDir: *artifacts, KeepGoing: *keepGoing}
-	if *noCache {
-		opt.CacheDir = ""
-	}
+	opt := iqolb.Options{Jobs: *jobs, ArtifactDir: *artifacts, KeepGoing: *keepGoing}
 	if !*quiet {
 		opt.Progress = os.Stderr
 	}

@@ -116,7 +116,7 @@ func TestCampaignDeterministic(t *testing.T) {
 }
 
 // TestFaultSpecCacheable: a faulted spec resolves with the plan in its
-// canonical config, so fault plans enter the cache key.
+// machine configuration.
 func TestFaultSpecCacheable(t *testing.T) {
 	s := campaignBase()
 	s.Faults = &faults.Plan{Seed: 3, Kinds: []faults.Kind{faults.BusLatency}}

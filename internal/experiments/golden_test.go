@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"iqolb/internal/harness"
 	"iqolb/internal/obs"
 	"iqolb/internal/stats"
 )
@@ -18,8 +17,7 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden files under te
 // goldenCheck marshals v as indented JSON and compares it byte-for-byte
 // against testdata/golden/<name>.json; -update rewrites the file. A diff
 // means the serialized layout changed — that is only legal together with a
-// bump of the corresponding SchemaVersion constant (and, for Result, of
-// cacheSchema).
+// bump of the corresponding SchemaVersion constant.
 func goldenCheck(t *testing.T, name string, v any) {
 	t.Helper()
 	got, err := json.MarshalIndent(v, "", " ")
@@ -109,40 +107,30 @@ func TestGoldenSnapshot(t *testing.T) {
 	goldenCheck(t, "snapshot", fixtureSnapshot())
 }
 
-// TestGoldenManifest pins the serialized harness.Manifest layout (schema
-// version 2), including a record carrying a snapshot and one recording a
-// retried failure.
+// TestGoldenManifest pins the serialized Manifest layout (schema version
+// 3), including a record carrying a snapshot and one recording a failure.
 func TestGoldenManifest(t *testing.T) {
 	snap := fixtureSnapshot()
-	goldenCheck(t, "manifest", harness.Manifest{
-		SchemaVersion: harness.ManifestSchemaVersion,
+	goldenCheck(t, "manifest", Manifest{
+		SchemaVersion: ManifestSchemaVersion,
 		Workers:       4,
 		Jobs:          2,
-		CacheHits:     1,
-		CacheMisses:   1,
-		WallMS:        12.5,
-		SimCycles:     246912,
-		Records: []harness.Record{
-			{
-				Label:   "hotlock/iqolb/p4",
-				Key:     "deadbeefdeadbeef",
-				Status:  harness.StatusHit,
-				WallMS:  0.5,
-				Metrics: map[string]float64{"cycles": 123456},
-			},
+		Errors:        1,
+		WallMS:        42.5,
+		SimCycles:     123456,
+		Records: []Record{
 			{
 				Label:    "hotlock/iqolb/p4",
-				Status:   harness.StatusMiss,
+				Status:   StatusOK,
 				WallMS:   12,
 				Metrics:  map[string]float64{"cycles": 123456},
 				Snapshot: &snap,
 			},
 			{
-				Label:    "hotlock/iqolb/p8",
-				Status:   harness.StatusError,
-				WallMS:   30,
-				Error:    "timed out after 10ms (job abandoned)",
-				Attempts: 3,
+				Label:  "hotlock/iqolb/p8",
+				Status: StatusError,
+				WallMS: 30,
+				Error:  "hotlock/iqolb/p8: hit the engine cycle limit (100 cycles)",
 			},
 		},
 	})
@@ -153,7 +141,7 @@ func TestGoldenManifest(t *testing.T) {
 func TestGoldenSchemaVersions(t *testing.T) {
 	versions := map[string]struct{ got, want int }{
 		"result":   {ResultSchemaVersion, 2},
-		"manifest": {harness.ManifestSchemaVersion, 2},
+		"manifest": {ManifestSchemaVersion, 3},
 		"snapshot": {obs.SnapshotSchemaVersion, 1},
 		"trace":    {obs.TraceSchemaVersion, 1},
 		"campaign": {CampaignSchemaVersion, 1},

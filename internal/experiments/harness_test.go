@@ -3,6 +3,7 @@ package experiments
 import (
 	"encoding/json"
 	"errors"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -75,36 +76,6 @@ func TestHarnessSerialParallelIdentical(t *testing.T) {
 	}
 }
 
-// A warm cache answers every job without simulating, and the decoded
-// results are byte-identical to the fresh ones.
-func TestHarnessCacheRoundTrip(t *testing.T) {
-	specs := smokeSpecs(t)
-	dir := filepath.Join(t.TempDir(), "cache")
-
-	cold, m1, err := RunSpecs(Options{Jobs: 4, CacheDir: dir}, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m1.CacheMisses != len(specs) || m1.CacheHits != 0 {
-		t.Fatalf("cold manifest: %+v", m1)
-	}
-	warm, m2, err := RunSpecs(Options{Jobs: 4, CacheDir: dir}, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.CacheHits != len(specs) || m2.CacheMisses != 0 {
-		t.Fatalf("warm manifest not 100%% hits: %+v", m2)
-	}
-	cj, _ := json.Marshal(cold)
-	wj, _ := json.Marshal(warm)
-	if string(cj) != string(wj) {
-		t.Fatal("cached results differ from fresh results")
-	}
-	if m2.SimCycles != m1.SimCycles {
-		t.Fatalf("sim cycles differ across cache: %v vs %v", m1.SimCycles, m2.SimCycles)
-	}
-}
-
 // The manifest reports sim cycles and lock hand-off percentiles per job.
 func TestManifestMetrics(t *testing.T) {
 	specs := smokeSpecs(t)[:2]
@@ -127,32 +98,33 @@ func TestManifestMetrics(t *testing.T) {
 	}
 }
 
-// Policy overrides and workload identity feed the cache key: distinct
-// configurations must never share an entry.
-func TestSpecCacheKeysDistinct(t *testing.T) {
-	specs := smokeSpecs(t)
-	seen := map[string]string{}
-	for _, s := range specs {
-		r, err := s.resolve()
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := json.Marshal(r.canonical())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if prev, dup := seen[string(data)]; dup {
-			t.Fatalf("specs %q and %q share a canonical config", prev, r.label())
-		}
-		seen[string(data)] = r.label()
+// A traced batch writes each job's Perfetto export, embeds the snapshot
+// in the Result and in the manifest record; an untraced record carries
+// none.
+func TestTracedBatchWritesArtifacts(t *testing.T) {
+	dir := t.TempDir()
+	spec := Spec{Bench: "nullcs", System: "iqolb", Procs: 2, Scale: 64}
+
+	res, m, err := RunSpecs(Options{Jobs: 1, Obs: dir}, []Spec{spec})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Same spec twice resolves to the same canonical bytes.
-	a, _ := specs[0].resolve()
-	b, _ := specs[0].resolve()
-	aj, _ := json.Marshal(a.canonical())
-	bj, _ := json.Marshal(b.canonical())
-	if string(aj) != string(bj) {
-		t.Fatal("canonical config not stable across resolves")
+	if res[0].Obs == nil {
+		t.Error("traced run produced no snapshot")
+	}
+	if m.Records[0].Snapshot == nil {
+		t.Error("traced run's manifest record carries no snapshot")
+	}
+	if _, err := os.Stat(filepath.Join(dir, "nullcs_iqolb_p2.trace.json")); err != nil {
+		t.Errorf("traced run left no Perfetto export: %v", err)
+	}
+
+	_, m, err = RunSpecs(Options{Jobs: 1}, []Spec{spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Records[0].Snapshot != nil {
+		t.Error("untraced run's manifest record carries a snapshot")
 	}
 }
 

@@ -14,10 +14,9 @@ import (
 	"iqolb/internal/workload"
 )
 
-// ResultSchemaVersion identifies the serialized Result layout. Bump it —
-// together with cacheSchema — whenever a Result field is added, removed,
-// or changes meaning; the golden-file test under testdata/ pins the
-// current shape.
+// ResultSchemaVersion identifies the serialized Result layout. Bump it
+// whenever a Result field is added, removed, or changes meaning; the
+// golden-file test under testdata/ pins the current shape.
 //
 // Version 2: added the fault-campaign fields (Degraded, DegradeReason,
 // FaultInjections, FinalCounters).

@@ -6,11 +6,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"time"
 
 	"iqolb/internal/engine"
 	"iqolb/internal/faults"
-	"iqolb/internal/harness"
 	"iqolb/internal/machine"
 	"iqolb/internal/obs"
 	"iqolb/internal/workload"
@@ -20,25 +18,12 @@ import (
 // measurements would be truncated and must not be reported as results.
 var ErrCycleLimit = errors.New("hit the engine cycle limit")
 
-// cacheSchema versions the canonical job configuration. Bump it whenever
-// a simulator change alters results without altering any config field —
-// every cached entry is then invalidated at once.
-//
-// Schema 2: Result gained SchemaVersion and the observability snapshot.
-// Schema 3: Result gained the fault-campaign fields (Degraded,
-// DegradeReason, FaultInjections, FinalCounters).
-const cacheSchema = 3
-
 // TraceOptions enables the observability layer (internal/obs) for a
 // spec's run. A traced run collects the structured event stream, embeds
 // the metrics snapshot in its Result (and manifest record), and — when
-// Perfetto names a path — exports the Chrome trace-event JSON there.
-//
-// Tracing never changes the cache key: the collectors are passive and the
-// measurements are identical, so traced and untraced runs are the same
-// computation. A traced job instead opts out of the result cache entirely
-// — trace artifacts must come from a fresh run, and a cached Result could
-// not supply them.
+// Perfetto names a path — exports the Chrome trace-event JSON there. The
+// collectors are passive: a traced run's measurements are identical to an
+// untraced one's.
 type TraceOptions struct {
 	// Perfetto is the output path for the Chrome trace-event JSON export
 	// (loadable at ui.perfetto.dev); empty skips the export.
@@ -47,8 +32,8 @@ type TraceOptions struct {
 
 // Spec is the canonical description of one simulation job: workload ×
 // system × machine size, plus optional policy overrides. Specs are the
-// currency of the parallel harness — they are resolved to a full machine
-// configuration, hashed for the result cache, and executed on a worker.
+// currency of RunSpecs — they are resolved to a full machine
+// configuration and executed on a worker.
 type Spec struct {
 	// Name labels the job; defaults to the benchmark name.
 	Name string `json:"name,omitempty"`
@@ -78,16 +63,13 @@ type Spec struct {
 	// non-nil. Runs that hit it fail with ErrCycleLimit.
 	CycleLimit *engine.Time `json:"cycle_limit,omitempty"`
 	// Check runs the job under the internal/check protocol-invariant
-	// monitors; any violation fails the job. Checked results are cached
-	// separately from unchecked ones (the configuration hash differs).
+	// monitors; any violation fails the job.
 	Check bool `json:"check,omitempty"`
 	// Trace enables the observability layer for this run (see
-	// TraceOptions). It does not enter the cache key; traced jobs skip
-	// the cache instead.
+	// TraceOptions).
 	Trace *TraceOptions `json:"trace,omitempty"`
 	// Faults arms a deterministic fault-injection plan for the run
-	// (nil = clean). The plan enters the cache key — a faulted run is a
-	// different computation — and implies the invariant monitors, so
+	// (nil = clean). The plan implies the invariant monitors, so
 	// every injected fault is either survived (oracle-verified final
 	// state) or reported as a typed failure.
 	Faults *faults.Plan `json:"faults,omitempty"`
@@ -176,38 +158,6 @@ func (r resolved) label() string {
 	return fmt.Sprintf("%s/%s/p%d", r.name, r.sys.Name, r.cfg.Processors)
 }
 
-// canonicalConfig is what gets hashed for the cache key: the resolved
-// workload (not the benchmark's name, so edits to the benchmark table
-// invalidate stale entries) plus the complete machine configuration,
-// which together fully determine a deterministic run.
-type canonicalConfig struct {
-	Schema    int                `json:"schema"`
-	Kernel    string             `json:"kernel"`
-	Params    workload.Params    `json:"params"`
-	TotalOps  int                `json:"total_ops"`
-	Think     int64              `json:"think"`
-	Primitive synclibPrimitiveID `json:"primitive"`
-	Machine   machine.Config     `json:"machine"`
-	Check     bool               `json:"check,omitempty"`
-}
-
-// synclibPrimitiveID pins the primitive's identity into the hash even if
-// the synclib enum is reordered.
-type synclibPrimitiveID string
-
-func (r resolved) canonical() canonicalConfig {
-	return canonicalConfig{
-		Schema:    cacheSchema,
-		Kernel:    r.kernel,
-		Params:    r.params,
-		TotalOps:  r.totalOps,
-		Think:     r.think,
-		Primitive: synclibPrimitiveID(fmt.Sprint(r.sys.Primitive)),
-		Machine:   r.cfg,
-		Check:     r.check,
-	}
-}
-
 // run executes the resolved plan.
 func (r resolved) run() (Result, error) {
 	if r.kernel == "fetchadd" {
@@ -242,7 +192,7 @@ func finishTrace(log *obs.Log, tr *TraceOptions, res *Result) error {
 	return f.Close()
 }
 
-// RunSpec resolves and executes one spec serially (no pool, no cache).
+// RunSpec resolves and executes one spec serially.
 func RunSpec(s Spec) (Result, error) {
 	r, err := s.resolve()
 	if err != nil {
@@ -251,14 +201,11 @@ func RunSpec(s Spec) (Result, error) {
 	return r.run()
 }
 
-// Options configures a harness batch. The zero value runs on
-// runtime.NumCPU() workers with caching, artifacts and progress all off.
+// Options configures a batch. The zero value runs on runtime.NumCPU()
+// workers with artifacts and progress off.
 type Options struct {
 	// Jobs bounds the worker pool; <= 0 means runtime.NumCPU().
 	Jobs int
-	// CacheDir enables the on-disk result cache when non-empty
-	// (harness.DefaultCacheDir is the conventional location).
-	CacheDir string
 	// ArtifactDir, when non-empty, receives per-job result JSON and the
 	// batch manifest.
 	ArtifactDir string
@@ -272,48 +219,30 @@ type Options struct {
 	// job in the batch: each job's Perfetto trace lands at
 	// <Obs>/<label>.trace.json (unless the spec already carries its own
 	// TraceOptions) and its metrics snapshot is embedded in the
-	// manifest record. Traced jobs bypass the result cache.
+	// manifest record.
 	Obs string
 	// Faults arms this fault plan on every spec in the batch that does
 	// not already carry its own (the CLIs' -faults flags).
 	Faults *faults.Plan
-	// KeepGoing runs every job despite failures; the manifest then
-	// doubles as the batch's failure manifest (see harness.Options).
+	// KeepGoing runs every job despite failures. The manifest then
+	// doubles as the batch's failure manifest: each failed job carries
+	// its error in its record, and the returned error is still the first
+	// failure in spec order, alongside the partial results.
 	KeepGoing bool
-	// JobTimeout bounds one job's wall-clock run time (0 = none).
-	JobTimeout time.Duration
-	// Retries re-runs failed jobs up to N more times (environmental
-	// failures only; deterministic errors fail identically each time).
-	Retries int
 }
 
-func (o Options) harness() harness.Options {
-	hopt := harness.Options{
-		Workers:     o.Jobs,
-		Progress:    o.Progress,
-		ArtifactDir: o.ArtifactDir,
-		KeepGoing:   o.KeepGoing,
-		JobTimeout:  o.JobTimeout,
-		Retries:     o.Retries,
-	}
-	if o.CacheDir != "" {
-		hopt.Cache = harness.NewCache(o.CacheDir)
-	}
-	return hopt
-}
-
-// RunSpecs executes a batch of specs through the parallel harness and
+// RunSpecs executes a batch of specs across a bounded worker pool and
 // returns the results in spec order — output ordering is independent of
 // completion order, so tables rendered from a batch are byte-identical
 // to a serial run. The manifest carries per-job wall times, sim-cycle
-// counts, lock hand-off latency percentiles, and cache hit/miss totals.
-func RunSpecs(opt Options, specs []Spec) ([]Result, *harness.Manifest, error) {
+// counts and lock hand-off latency percentiles.
+func RunSpecs(opt Options, specs []Spec) ([]Result, *Manifest, error) {
 	if opt.Obs != "" {
 		if err := os.MkdirAll(opt.Obs, 0o755); err != nil {
 			return nil, nil, err
 		}
 	}
-	jobs := make([]harness.Job[Result], len(specs))
+	jobs := make([]job, len(specs))
 	for i, s := range specs {
 		if opt.Check {
 			s.Check = true
@@ -327,46 +256,10 @@ func RunSpecs(opt Options, specs []Spec) ([]Result, *harness.Manifest, error) {
 		}
 		if opt.Obs != "" && r.trace == nil {
 			r.trace = &TraceOptions{
-				Perfetto: filepath.Join(opt.Obs, harness.SanitizeLabel(r.label())+".trace.json"),
+				Perfetto: filepath.Join(opt.Obs, sanitizeLabel(r.label())+".trace.json"),
 			}
 		}
-		jobs[i] = harness.Job[Result]{
-			Label:   r.label(),
-			Config:  r.canonical(),
-			Run:     r.run,
-			Metrics: resultMetrics,
-		}
-		if r.trace != nil {
-			// Tracing is excluded from the cache key (the measurements
-			// are identical), but the artifacts only exist after a fresh
-			// run — so a traced job skips the cache rather than poisoning
-			// it with, or serving, snapshot-less entries.
-			jobs[i].Config = nil
-			jobs[i].Snapshot = resultSnapshot
-		}
+		jobs[i] = job{label: r.label(), run: r.run}
 	}
-	return harness.Run(opt.harness(), jobs)
-}
-
-// resultSnapshot surfaces a traced result's observability snapshot for
-// the manifest record.
-func resultSnapshot(r Result) any {
-	if r.Obs == nil {
-		return nil
-	}
-	return r.Obs
-}
-
-// resultMetrics extracts the manifest's scalar measurements from a
-// result (fresh or cache-loaded).
-func resultMetrics(r Result) map[string]float64 {
-	m := map[string]float64{
-		"cycles":           float64(r.Cycles),
-		"bus_transactions": float64(r.BusTransactions),
-	}
-	if r.Stats != nil {
-		m["lock_handoff_p50"] = r.Stats.LockHandoff.Percentile(50)
-		m["lock_handoff_p99"] = r.Stats.LockHandoff.Percentile(99)
-	}
-	return m
+	return runBatch(opt, jobs)
 }

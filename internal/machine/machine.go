@@ -38,9 +38,8 @@ type Config struct {
 	// (the aggressive baseline) should always set one.
 	CycleLimit engine.Time
 	// Faults optionally arms a deterministic fault-injection plan
-	// (nil = clean run). The omitempty tag keeps nil plans out of the
-	// canonical config JSON, so existing experiment cache keys survive.
-	Faults *faults.Plan `json:",omitempty"`
+	// (nil = clean run).
+	Faults *faults.Plan
 }
 
 // DefaultConfig returns the paper's evaluation configuration for n

@@ -8,7 +8,7 @@ import (
 )
 
 // SnapshotSchemaVersion identifies the Snapshot layout, following the
-// repo's artifact conventions (internal/obs, internal/harness): bump on
+// repo's artifact conventions (internal/obs, internal/experiments): bump on
 // any field addition, removal, or change of meaning.
 //
 // v2: per-shard live policy and epoch, migration/restore counters, and

@@ -21,7 +21,7 @@
 //	})
 //
 // Spec is the one canonical run description: the same struct drives the
-// serial RunSpec, the parallel cached RunSpecs harness, the parameter
+// serial RunSpec, the parallel RunSpecs batch runner, the parameter
 // sweeps (Sweep with a SweepSpec), and the CLIs. Setting Spec.Trace (or
 // Options.Obs for a whole batch) turns on the cycle-accurate
 // observability layer: per-lock contention profiles in Result.Obs and a
@@ -40,7 +40,6 @@ import (
 	"iqolb/internal/engine"
 	"iqolb/internal/experiments"
 	"iqolb/internal/faults"
-	"iqolb/internal/harness"
 	"iqolb/internal/isa"
 	"iqolb/internal/machine"
 	"iqolb/internal/mem"
@@ -90,17 +89,16 @@ type (
 	Recorder = trace.Recorder
 	// Result is one experiment's summarized measurements.
 	Result = experiments.Result
-	// Spec canonically describes one simulation job for the harness.
+	// Spec canonically describes one simulation job.
 	// Every entry point — serial RunSpec, batched RunSpecs, and the CLIs
 	// — flows through it; Spec.Trace turns on the observability layer.
 	Spec = experiments.Spec
-	// Options configures the parallel harness (worker count, result
-	// cache, run artifacts, progress stream, batch-wide tracing via
-	// Options.Obs). The zero value runs on runtime.NumCPU() workers with
-	// caching and artifacts off.
+	// Options configures a RunSpecs batch (worker count, run artifacts,
+	// progress stream, batch-wide tracing via Options.Obs). The zero
+	// value runs on runtime.NumCPU() workers with artifacts off.
 	Options = experiments.Options
-	// Manifest is a harness batch's aggregate run artifact.
-	Manifest = harness.Manifest
+	// Manifest is a batch's aggregate run artifact.
+	Manifest = experiments.Manifest
 	// TraceOptions enables the observability layer for one Spec (see
 	// Spec.Trace): metrics snapshot collection plus an optional Perfetto
 	// (Chrome trace-event JSON) export.
@@ -119,7 +117,7 @@ type (
 	// SweepSpec; it unwraps to ErrInvalidSweepSpec.
 	SweepSpecError = experiments.SweepSpecError
 	// FaultPlan arms a deterministic fault-injection plan on a Spec or
-	// MachineConfig (nil = clean run). Plans enter the result-cache key.
+	// MachineConfig (nil = clean run).
 	FaultPlan = faults.Plan
 	// FaultKind names one injectable fault (see FaultKinds).
 	FaultKind = faults.Kind
@@ -179,9 +177,6 @@ const (
 	SweepPredictorKind   = experiments.SweepPredictorKind
 	SweepGeneralizedKind = experiments.SweepGeneralizedKind
 )
-
-// DefaultCacheDir is the conventional on-disk result cache location.
-const DefaultCacheDir = harness.DefaultCacheDir
 
 // Hardware modes (the Figure 1 progression).
 const (
@@ -263,13 +258,10 @@ func RunFetchAdd(sys System, procs, totalOps int, think int64) (Result, error) {
 // RunSpec resolves and executes one experiment spec serially.
 func RunSpec(s Spec) (Result, error) { return experiments.RunSpec(s) }
 
-// RunSpecs executes a batch of experiment specs through the parallel
-// harness: jobs fan out across a bounded worker pool, completed results
-// are memoized in the on-disk cache keyed by a stable hash of each
-// job's canonical configuration, and the results come back in spec
-// order (independent of completion order). The manifest carries
-// per-job wall times, sim-cycle counts, lock hand-off latency
-// percentiles and cache hit/miss statistics.
+// RunSpecs executes a batch of experiment specs: jobs fan out across a
+// bounded worker pool and the results come back in spec order
+// (independent of completion order). The manifest carries per-job wall
+// times, sim-cycle counts and lock hand-off latency percentiles.
 func RunSpecs(opt Options, specs []Spec) ([]Result, *Manifest, error) {
 	return experiments.RunSpecs(opt, specs)
 }
@@ -281,8 +273,8 @@ func Table1() string { return experiments.Table1() }
 func Table2() string { return experiments.Table2() }
 
 // Table3 reproduces the paper's results table at the given machine size
-// through the parallel harness, returning the rendered table and the raw
-// rows. Options{} runs uncached on runtime.NumCPU() workers.
+// across a bounded worker pool, returning the rendered table and the raw
+// rows. Options{} runs on runtime.NumCPU() workers.
 func Table3(opt Options, procs, scaleFactor int) (string, []experiments.Table3Row, error) {
 	return experiments.Table3(opt, procs, scaleFactor)
 }
@@ -301,8 +293,8 @@ func Figure3() (string, *Recorder, error) { return experiments.Figure3() }
 // Figure4 renders the IQOLB sequence (paper Figure 4).
 func Figure4() (string, *Recorder, error) { return experiments.Figure4() }
 
-// Sweep validates the spec and runs the selected parameter study through
-// the parallel harness, returning the rendered table. Validation
+// Sweep validates the spec and runs the selected parameter study across
+// a bounded worker pool, returning the rendered table. Validation
 // failures wrap ErrInvalidSweepSpec and carry field detail in a
 // *SweepSpecError. This is the single sweep entry point.
 func Sweep(opt Options, s SweepSpec) (string, error) {
