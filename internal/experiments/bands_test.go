@@ -66,24 +66,3 @@ func TestTable3FullScaleBands(t *testing.T) {
 		t.Error("ocean not more sensitive than the compute-bound benchmarks")
 	}
 }
-
-// TestDeterminismAcrossBenchmarks: every benchmark run twice produces
-// bit-identical cycle counts under every main system.
-func TestDeterminismAcrossBenchmarks(t *testing.T) {
-	for _, spec := range []string{"barnes", "raytrace"} {
-		for _, sys := range []System{SysTTS, SysIQOLB, SysQOLB} {
-			a, err := RunBenchmark(spec, sys, 4, 16)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := RunBenchmark(spec, sys, 4, 16)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if a.Cycles != b.Cycles || a.BusTransactions != b.BusTransactions {
-				t.Errorf("%s/%s nondeterministic: %d/%d vs %d/%d cycles/txs",
-					spec, sys.Name, a.Cycles, a.BusTransactions, b.Cycles, b.BusTransactions)
-			}
-		}
-	}
-}
