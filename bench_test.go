@@ -16,7 +16,10 @@ import (
 	"testing"
 
 	"iqolb"
+	"iqolb/internal/experiments"
+	"iqolb/internal/machine"
 	"iqolb/internal/stats"
+	"iqolb/internal/workload"
 )
 
 // benchProcs and benchScale size the benchmark runs: large enough to show
@@ -324,20 +327,40 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // BenchmarkSimRaytraceCells runs the cells that dominate the benchmark's
 // sim_raytrace workload: raytrace on 32 simulated processors at scale 4,
 // under tts (the herd) and then iqolb. It is the recipe for profiling the
-// simulator's host costs:
+// simulator's host costs, and it reports the engine's dispatched events
+// per tts+iqolb pair (events/op), the layer that explains them:
 //
 //	go test -run '^$' -bench SimRaytraceCells -cpuprofile cpu.out
 func BenchmarkSimRaytraceCells(b *testing.B) {
 	b.ReportAllocs()
-	var ops uint64
+	spec, err := workload.ByName("raytrace")
+	if err != nil {
+		b.Fatal(err)
+	}
+	const procs = 32
+	p := experiments.Scale(spec.Params, 4, procs)
+	var ops, events uint64
 	for i := 0; i < b.N; i++ {
-		for _, sys := range []iqolb.System{iqolb.SystemTTS, iqolb.SystemIQOLB} {
-			res, err := iqolb.RunSpec(iqolb.Spec{Bench: "raytrace", System: sys.Name, Procs: 32, Scale: 4})
+		for _, sys := range []experiments.System{experiments.SysTTS, experiments.SysIQOLB} {
+			bld, err := workload.Generate(p, sys.Primitive, procs)
 			if err != nil {
 				b.Fatal(err)
 			}
+			m, err := machine.New(sys.MachineConfig(procs), bld.Program, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, l := range bld.Locks {
+				m.RegisterLockAddr(l)
+			}
+			res, err := m.Run()
+			if err != nil || res.HitLimit {
+				b.Fatal(err, res.HitLimit)
+			}
 			ops += res.Stats.Total(func(n *stats.Node) uint64 { return n.LockAcquires + n.LockReleases })
+			events += m.Engine().Fired()
 		}
 	}
 	b.ReportMetric(float64(ops)/b.Elapsed().Seconds(), "lock-ops/s")
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 }

@@ -114,6 +114,21 @@ func (c *Cache) Touch(line mem.LineID) bool {
 	return true
 }
 
+// TouchN is n hits on a resident line at once: the clock, the line's LRU
+// stamp and Hits end exactly as after n calls to Touch.
+func (c *Cache) TouchN(line mem.LineID, n uint64) {
+	if n == 0 {
+		return
+	}
+	e := c.find(line)
+	if e == nil {
+		panic(fmt.Sprintf("cache: TouchN(%d) on absent line", line))
+	}
+	c.clock += n
+	e.used = c.clock
+	c.Hits += n
+}
+
 // SetState changes the state of a resident line. Setting Invalid removes
 // the line. It panics if the line is absent: controllers must only
 // transition lines they hold, and a silent no-op here would mask protocol

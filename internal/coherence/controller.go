@@ -97,6 +97,15 @@ type Controller struct {
 	timerSeq     uint64
 	acquireStart map[mem.Addr]engine.Time
 
+	// spin is the watch a sleeping processor keeps on the load it repeats
+	// (see Watch); wake is nil while none is armed.
+	spin struct {
+		line mem.LineID
+		kind mem.AccessKind
+		tear bool
+		wake func() uint64
+	}
+
 	st *stats.Node
 }
 
@@ -187,6 +196,77 @@ func (c *Controller) complete(req mem.Request, res mem.Result) {
 // ---------------------------------------------------------------------------
 // Processor-facing request path
 // ---------------------------------------------------------------------------
+
+// Watch implements proc.Watcher. Another read of addr is served exactly as
+// the last one when it hits in L1 (or reads the tear-off word of the
+// line's outstanding miss), returns v, finds the link already as it would
+// set it, opens no new acquire attempt, and no trace recorder wants the
+// line. The watch then wakes the processor, before anything else changes,
+// on:
+//   - an invalidation or downgrade of the line (snoop, supply, eviction),
+//     which also covers a link reset;
+//   - any install at this node, which moves the LRU stamps the skipped
+//     hits would have set and may evict the line from L1 or L2;
+//   - any data message for the line (a tear-off replaced, a fill), or
+//     the line's miss squashed or retired. A plain read answered by a
+//     tear-off retires its miss in the event that completed it, after
+//     the processor armed its watch.
+//   - Degrade (Fabric.Settle).
+func (c *Controller) Watch(kind mem.AccessKind, addr mem.Addr, v uint64, wake func() uint64) (lat engine.Time, tearOff, ok bool) {
+	line := addr.Line()
+	ls := c.at(line)
+	if c.f.rec.Wants(line) || ls.loanedOut {
+		return 0, false, false
+	}
+	if m := ls.mshr; m != nil {
+		if !m.hasTear || m.tearAddr != addr || m.tearVal != v {
+			return 0, false, false
+		}
+		tearOff = true
+	} else {
+		if !c.l2.State(line).CanRead() || !c.l1.Contains(line) || ls.data[addr.WordIndex()] != v {
+			return 0, false, false
+		}
+		if _, open := c.acquireStart[addr]; kind == mem.LoadLinked && c.f.isLockAddr(addr) && !open {
+			return 0, false, false
+		}
+	}
+	if kind == mem.LoadLinked && !(c.linkValid && c.linkAddr == addr && c.linkFragile == tearOff) {
+		return 0, false, false
+	}
+	c.spin.line, c.spin.kind, c.spin.tear, c.spin.wake = line, kind, tearOff, wake
+	return c.f.timing.L1Hit, tearOff, true
+}
+
+// wakeSpin fires the armed watch, if any, and charges the reads the
+// sleeping processor skipped exactly as Access would have.
+func (c *Controller) wakeSpin() {
+	wake := c.spin.wake
+	if wake == nil {
+		return
+	}
+	c.spin.wake = nil
+	n := wake()
+	switch {
+	case c.spin.tear:
+		c.st.LocalSpins += n
+		return
+	case c.spin.kind == mem.LoadLinked:
+		c.st.LLCount += n
+	default:
+		c.st.LoadCount += n
+	}
+	c.l2.TouchN(c.spin.line, n)
+	c.l1.TouchN(c.spin.line, n)
+	c.st.L1Hits += n
+}
+
+// wakeSpinOn fires the watch if it is on line.
+func (c *Controller) wakeSpinOn(line mem.LineID) {
+	if c.spin.wake != nil && c.spin.line == line {
+		c.wakeSpin()
+	}
+}
 
 // Access is the processor's entry point (proc.Port).
 func (c *Controller) Access(req mem.Request) {
@@ -530,6 +610,7 @@ func (c *Controller) issue(tx mem.TxKind, addr mem.Addr) uint64 {
 
 // retire frees an MSHR and charges its miss latency.
 func (c *Controller) retire(m *mshr) {
+	c.wakeSpinOn(m.line)
 	c.track(m.line).mshr = nil
 	c.f.st.MissLatency.Add(uint64(c.eng.Now() - m.issuedAt))
 }
@@ -588,6 +669,7 @@ func (c *Controller) snoop(tx interconnect.Tx) {
 // squash abandons a queued LPRFO after a queue breakdown (retention off)
 // and re-issues it; the queue rebuilds in new bus order (§3.2).
 func (c *Controller) squash(m *mshr) {
+	c.wakeSpinOn(m.line)
 	c.f.probeSquash(c.id, m.line)
 	c.st.QueueBreakdowns++
 	c.traceEv(trace.EvSquash, m.line, "")
@@ -648,6 +730,7 @@ func (c *Controller) dropQueuedLPRFOs(line mem.LineID) {
 // invalidateLocal drops the node's copy: caches, data, link, and any lock
 // speculation on the line.
 func (c *Controller) invalidateLocal(line mem.LineID) {
+	c.wakeSpinOn(line)
 	c.resetLinkIfOn(line)
 	c.l1.Invalidate(line)
 	c.l2.Invalidate(line)
@@ -761,6 +844,7 @@ func (c *Controller) completeWriteOp(m *mshr, d *mem.LineData) {
 
 func (c *Controller) onData(msg interconnect.Msg) {
 	line := msg.Line
+	c.wakeSpinOn(line)
 	switch msg.Kind {
 	case mem.DataShared:
 		m := c.takeMshr(line, msg.Kind)
@@ -926,6 +1010,7 @@ func (c *Controller) runPending(m *mshr) {
 // install places a line into the hierarchy, running the eviction path for
 // any victim first.
 func (c *Controller) install(line mem.LineID, state mem.State, data mem.LineData) {
+	c.wakeSpin()
 	if c.l2.State(line) == mem.Invalid {
 		if victim, vstate, full := c.l2.Victim(line); full {
 			c.evict(victim, vstate)
@@ -1093,6 +1178,7 @@ func (c *Controller) serviceGETS(line mem.LineID, d *duty) {
 		}
 		return
 	}
+	c.wakeSpinOn(line)
 	state := c.l2.State(line)
 	c.f.send(interconnect.Msg{
 		Kind: mem.DataShared, Line: line, Data: *c.lineData(line), Dirty: state.Dirty(),

@@ -101,6 +101,15 @@ func NewFabric(eng *engine.Engine, timing Timing, geo CacheGeometry, coreCfg cor
 	return f, nil
 }
 
+// Settle wakes every sleeping processor (see Controller.Watch), so that
+// every counter reads as in a run where none slept. The machine calls it
+// when the engine stops.
+func (f *Fabric) Settle() {
+	for _, n := range f.nodes {
+		n.wakeSpin()
+	}
+}
+
 // Node returns controller i (the processor's memory port).
 func (f *Fabric) Node(i int) *Controller { return f.nodes[i] }
 

@@ -64,6 +64,7 @@ func (f *Fabric) Degrade(reason string) {
 	if f.degraded {
 		return
 	}
+	f.Settle()
 	f.degraded = true
 	f.degradeReason = reason
 	f.probeDegraded(reason)

@@ -325,3 +325,117 @@ func TestDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// spinner is a component whose events alternate two phases forever, as a
+// processor spinning on a cached lock does: awake it schedules each next
+// event, asleep it parks and lets the engine pass the slots.
+type spinner struct {
+	e     *Engine
+	delay [2]Time
+	sl    Sleep
+	fired uint64 // slots fired for real
+	phase uint64
+}
+
+func (s *spinner) Fire(now Time, arg Arg) {
+	s.fired++
+	s.phase = arg.A
+	s.e.Schedule(now+s.delay[arg.A], s, Arg{A: arg.A ^ 1})
+}
+
+// slots is how many of the spinner's slots have gone by, fired or passed.
+func (s *spinner) slots() uint64 { return s.fired + s.sl.passed[0] + s.sl.passed[1] }
+
+// TestSleepKeepsItsPlace: spinners whose slots share cycles with real
+// events scheduled at leads 0, 1, 2 and more interleave with them exactly
+// as when every slot is dispatched, asleep and after a wake. Each real
+// event logs the slots gone by so far, so the two logs match only if
+// every slot kept its (time, seq) place. With one-cycle delays only, the
+// gaps between real events pass in bulk; a two-cycle delay makes every
+// slot pass one at a time.
+func TestSleepKeepsItsPlace(t *testing.T) {
+	for _, second := range [][2]Time{{1, 1}, {2, 1}} {
+		keepsPlace(t, [][2]Time{{1, 1}, second, {1, 1}})
+	}
+}
+
+func keepsPlace(t *testing.T, delays [][2]Time) {
+	run := func(sleep bool) []uint64 {
+		e := New()
+		var spins []*spinner
+		for _, d := range delays {
+			spins = append(spins, &spinner{e: e, delay: d})
+		}
+		for i, s := range spins {
+			if sleep {
+				e.Park(&s.sl, Time(3+i), s.delay, s)
+			} else {
+				e.Schedule(Time(3+i), s, Arg{})
+			}
+		}
+		var log []uint64
+		rng := rand.New(rand.NewSource(7))
+		id := uint64(0)
+		var drive Func
+		logEv := Func(func(now Time) {
+			log = append(log, uint64(now))
+			for _, s := range spins {
+				log = append(log, s.slots())
+			}
+		})
+		drive = func(now Time) {
+			logEv(now)
+			for _, lead := range []Time{0, 1, 2, Time(3 + rng.Intn(6))} {
+				if rng.Intn(2) == 0 {
+					e.At(now+lead, logEv)
+				}
+			}
+			id++
+			if id == 40 && sleep {
+				// Wake the first spinner mid-run; it resumes for real.
+				e.Wake(&spins[0].sl)
+			}
+			if id < 80 {
+				e.At(now+Time(rng.Intn(12)), drive)
+			}
+		}
+		e.At(10, drive)
+		e.Run(900)
+		return log
+	}
+	awake, asleep := run(false), run(true)
+	if len(awake) != len(asleep) {
+		t.Fatalf("awake run logged %d entries, sleeping run %d", len(awake), len(asleep))
+	}
+	for i := range awake {
+		if awake[i] != asleep[i] {
+			t.Fatalf("delays %v: logs diverge at entry %d: awake %d, sleeping %d", delays, i, awake[i], asleep[i])
+		}
+	}
+}
+
+// TestSleepPassesCyclesInBulk: with one-cycle delays and no queued event,
+// a sleep passes a million cycles without dispatching anything, and its
+// slot counts, phase and numbering come out as if each slot had passed.
+func TestSleepPassesCyclesInBulk(t *testing.T) {
+	e := New()
+	a := &spinner{e: e, delay: [2]Time{1, 1}}
+	b := &spinner{e: e, delay: [2]Time{1, 1}}
+	e.Park(&a.sl, 1, a.delay, a)
+	e.Park(&b.sl, 1, b.delay, b)
+	e.Run(1_000_000)
+	if e.Fired() != 0 {
+		t.Fatalf("fired %d events, want 0", e.Fired())
+	}
+	if a.sl.passed != [2]uint64{500_000, 500_000} || b.sl.passed != a.sl.passed {
+		t.Fatalf("passed %v and %v, want 500000 of each phase", a.sl.passed, b.sl.passed)
+	}
+	if a.sl.at != 1_000_001 || a.sl.phase != 0 || b.sl.seq != e.seq || a.sl.seq != e.seq-1 || e.seq != 2_000_002 {
+		t.Fatalf("after the skip: at %d phase %d seqs %d,%d (engine %d)", a.sl.at, a.sl.phase, a.sl.seq, b.sl.seq, e.seq)
+	}
+	e.Wake(&b.sl)
+	e.Run(1_000_001)
+	if e.Fired() != 1 || b.fired != 1 || a.fired != 0 {
+		t.Fatalf("after waking b: %d fired (a %d, b %d), want b's slot only", e.Fired(), a.fired, b.fired)
+	}
+}

@@ -4,8 +4,9 @@
 // package-global mutation switches in internal/coherence with
 // per-machine state, so faulted and clean machines can run in parallel.
 //
-// A Plan is pure data (JSON-stable, so it can enter the experiment
-// cache key); an Injector is the runtime state derived from it — a
+// A Plan is pure data (JSON-stable, so the Spec that carries it, and the
+// fault-campaign report that echoes that Spec, are byte-identical from
+// run to run); an Injector is the runtime state derived from it — a
 // seeded PRNG consumed in simulator event order plus the injection log.
 // The simulated machine is single-threaded inside its event engine, so
 // the same plan over the same workload fires the same faults at the
@@ -110,9 +111,9 @@ func Kinds() []Kind {
 
 // Plan is a deterministic fault campaign for one machine: which fault
 // kinds are armed, the PRNG seed, and the knobs shared by all of them.
-// A Plan is pure data — it JSON-marshals stably and belongs in the
-// experiment cache key; the zero value of every optional field selects
-// the documented default.
+// A Plan is pure data — it JSON-marshals stably, so a campaign report
+// records it byte for byte; the zero value of every optional field
+// selects the documented default.
 type Plan struct {
 	// Seed drives the injection PRNG. Two runs of the same workload with
 	// the same seed inject identically.

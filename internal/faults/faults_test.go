@@ -7,7 +7,7 @@ import (
 
 // TestKindNamesRoundTrip: every kind parses back from its name and from
 // its JSON encoding — the names are the stable identity used in plans,
-// cache keys and manifests.
+// campaign reports and manifests.
 func TestKindNamesRoundTrip(t *testing.T) {
 	for _, k := range Kinds() {
 		got, err := ParseKind(k.String())

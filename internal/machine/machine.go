@@ -234,6 +234,7 @@ func (m *Machine) Run() (Result, error) {
 		c.Start()
 	}
 	end, hitLimit := m.eng.Run(m.cfg.CycleLimit)
+	m.fabric.Settle()
 	if !hitLimit && m.halted != m.cfg.Processors {
 		de := &DeadlockError{
 			Cycle:  uint64(end),

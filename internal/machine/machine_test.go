@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"iqolb/internal/core"
+	"iqolb/internal/engine"
 	"iqolb/internal/isa"
 	"iqolb/internal/proc"
 	"iqolb/internal/stats"
@@ -283,13 +284,25 @@ func TestPeekFindsDirtyCacheData(t *testing.T) {
 	}
 }
 
-// TestSpinIterationAllocatesNothing pins the simulator's hot path: once a
-// TTS waiter spins on an L1-resident lock, each iteration (a load hit, its
-// completion, the branch and the next load) schedules and fires two events
-// and allocates nothing: no closure per memory op, reschedule or
-// completion, and no string per op.
-func TestSpinIterationAllocatesNothing(t *testing.T) {
-	src := `
+// spinWaiter is P1's half of the spin programs: it waits for P0 to take
+// the lock, then spins until P0 releases it a million cycles later.
+const spinWaiter = `
+waiter:
+  work  3000            # P0 holds the lock by then
+spin:
+  ll    t1, 0(a0)
+  bne   t1, r0, spin
+  halt
+`
+
+// TestSleepingSpinCostsNothing pins what a spin iteration costs once the
+// spinner sleeps: nothing. After warm-up, a TTS waiter spinning on an
+// L1-resident lock, and an IQOLB waiter spinning on its tear-off copy,
+// pass thousands of cycles with no event dispatched and nothing
+// allocated; settled, their CPU and cache counters equal those of a run
+// that dispatched every iteration.
+func TestSleepingSpinCostsNothing(t *testing.T) {
+	tts := `
 	  li    a0, 1024
 	  cpuid t0
 	  bne   t0, r0, waiter
@@ -298,41 +311,90 @@ func TestSpinIterationAllocatesNothing(t *testing.T) {
 	  work  1000000         # and holds it for the whole test
 	  sw    r0, 0(a0)
 	  halt
-	waiter:
-	  work  2000            # P0's store lands first
-	spin:
-	  lw    t1, 0(a0)
-	  bne   t1, r0, spin
+	` + spinWaiter
+	// P0's first acquire and release train its predictor, so the second
+	// is held as a lock and P1's LL is answered with a tear-off.
+	iqolb := `
+	  li    a0, 1024
+	  cpuid t0
+	  bne   t0, r0, waiter
+	  li    t4, 2
+	acq:
+	  ll    t1, 0(a0)
+	  bne   t1, r0, acq
+	  li    t2, 1
+	  sc    t2, 0(a0)
+	  beq   t2, r0, acq
+	  addi  t4, t4, -1
+	  beq   t4, r0, hold
+	  sw    r0, 0(a0)
+	  j     acq
+	hold:
+	  work  1000000
+	  sw    r0, 0(a0)
 	  halt
-	`
-	m, err := New(cfg(2, core.ModeBaseline), isa.MustAssemble(src), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range m.cpus {
-		c.Start()
-	}
-	for m.eng.Now() < 10_000 { // warm: P1's line is in its L1
-		m.eng.Step()
-	}
-	const iters = 1000
-	hits, memOps := m.st.Nodes[1].L1Hits, m.CPU(1).MemOps
-	allocs := testing.AllocsPerRun(iters, func() {
-		m.eng.Step() // the load's completion
-		m.eng.Step() // the branch and the next load
-	})
-	if allocs != 0 {
-		t.Fatalf("spin iteration: %v allocs, want 0", allocs)
-	}
-	// AllocsPerRun adds one warm-up run.
-	if got := m.st.Nodes[1].L1Hits - hits; got != iters+1 {
-		t.Fatalf("P1 made %d L1 hits over %d iterations; the test is not measuring the spin", got, iters+1)
-	}
-	if got := m.CPU(1).MemOps - memOps; got != iters+1 {
-		t.Fatalf("P1 issued %d loads over %d iterations", got, iters+1)
-	}
-	if m.CPU(0).Halted() || m.eng.Now() >= 1_000_000 {
-		t.Fatal("P0 released the lock during the measurement")
+	` + spinWaiter
+	for _, tc := range []struct {
+		name string
+		mode core.Mode
+		src  string
+	}{{"tts", core.ModeBaseline, tts}, {"iqolb-tearoff", core.ModeIQOLB, iqolb}} {
+		t.Run(tc.name, func(t *testing.T) {
+			start := func(awake bool) *Machine {
+				c := cfg(2, tc.mode)
+				c.Core.LockTimeout = 10_000_000 // P0 keeps the lock for the whole test
+				m, err := New(c, isa.MustAssemble(tc.src), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if awake {
+					m.eng.AddAfterStep(func(engine.Time) {})
+				}
+				for _, c := range m.cpus {
+					c.Start()
+				}
+				return m
+			}
+			m := start(false)
+			end := engine.Time(10_000) // warm: P1 spins
+			m.eng.Run(end)
+			fired := m.eng.Fired()
+			allocs := testing.AllocsPerRun(100, func() {
+				end += 1000
+				m.eng.Run(end)
+			})
+			if allocs != 0 {
+				t.Fatalf("1000 cycles of a sleeping spin: %v allocs, want 0", allocs)
+			}
+			if got := m.eng.Fired() - fired; got != 0 {
+				t.Fatalf("a sleeping spin dispatched %d events over %d cycles, want 0", got, end-10_000)
+			}
+			ref := start(true)
+			ref.eng.Run(end)
+			m.fabric.Settle()
+			if m.CPU(0).Halted() || ref.CPU(0).Halted() {
+				t.Fatal("P0 released the lock during the measurement")
+			}
+			got, want := m.CPU(1), ref.CPU(1)
+			if got.Instructions != want.Instructions || got.MemOps != want.MemOps ||
+				got.MemCycles != want.MemCycles || got.SpinResults != want.SpinResults {
+				t.Fatalf("P1 counters %d/%d/%d/%d, want the awake run's %d/%d/%d/%d (instructions/mem ops/mem cycles/spin results)",
+					got.Instructions, got.MemOps, got.MemCycles, got.SpinResults,
+					want.Instructions, want.MemOps, want.MemCycles, want.SpinResults)
+			}
+			if want.MemOps < 40_000 {
+				t.Fatalf("P1 issued %d loads by cycle %d; the test is not measuring the spin", want.MemOps, end)
+			}
+			gs, ws := m.st.Nodes[1], ref.st.Nodes[1]
+			if gs.L1Hits != ws.L1Hits || gs.LocalSpins != ws.LocalSpins || gs.LLCount != ws.LLCount ||
+				m.fabric.Node(1).L1().Hits != ref.fabric.Node(1).L1().Hits {
+				t.Fatalf("P1 node counters differ: L1 hits %d/%d, local spins %d/%d, LLs %d/%d",
+					gs.L1Hits, ws.L1Hits, gs.LocalSpins, ws.LocalSpins, gs.LLCount, ws.LLCount)
+			}
+			if tc.mode == core.ModeIQOLB && want.SpinResults < 40_000 {
+				t.Fatalf("P1 read its tear-off %d times; the test is not measuring the tear-off spin", want.SpinResults)
+			}
+		})
 	}
 }
 

@@ -23,6 +23,17 @@ type Port interface {
 	Access(req mem.Request)
 }
 
+// Watcher is the Port extension that lets a spinning CPU sleep. Watch
+// reports whether repeating the load that just completed (kind at addr,
+// value v) would be served the same way each time: value v, latency lat,
+// from a tear-off copy or not, changing nothing but per-access counters.
+// If so it arms a watch, and the first event that could change that
+// answer calls wake, once; wake returns how many loads the CPU skipped,
+// which the port charges as if they had been made.
+type Watcher interface {
+	Watch(kind mem.AccessKind, addr mem.Addr, v uint64, wake func() uint64) (lat engine.Time, tearOff, ok bool)
+}
+
 // Platform provides the services that live outside the node: the hardware
 // barrier and run-completion notification.
 type Platform interface {
@@ -61,6 +72,27 @@ type CPU struct {
 	stepFn engine.Func
 	done   mem.DoneFunc
 
+	// The current step began at stepPC and retired stepALU instructions
+	// before its memory op; stepDirty records that one of them changed a
+	// register or drew a random number. A step that did neither, issuing a
+	// load whose result changes nothing either, repeats forever unless the
+	// load's line changes: the CPU then sleeps (see sleep).
+	stepPC    int
+	stepALU   uint64
+	stepDirty bool
+
+	// The sleep: parked in the engine at sleepAt (the first skipped step),
+	// repeating a load served at sleepLat with value sleepVal, from a
+	// tear-off copy if sleepTear.
+	watcher   Watcher
+	sl        engine.Sleep
+	resume    engine.Handler
+	wakeFn    func() uint64
+	sleepAt   engine.Time
+	sleepLat  engine.Time
+	sleepVal  uint64
+	sleepTear bool
+
 	// The operation the CPU is blocked on, if waiting: the instruction at
 	// waitPC (a memory op on waitAddr, or a barrier), issued at waitSince.
 	// complete reads the instruction back; Stall formats it, and nothing
@@ -88,6 +120,9 @@ func New(id, nprocs int, cfg Config, prog *isa.Program, eng *engine.Engine, port
 	c := &CPU{id: id, nprocs: nprocs, cfg: cfg, prog: prog, eng: eng, port: port, plat: plat, rng: seed}
 	c.stepFn = c.step
 	c.done = c.complete
+	c.watcher, _ = port.(Watcher)
+	c.resume = resumer{c}
+	c.wakeFn = c.wake
 	return c
 }
 
@@ -156,8 +191,9 @@ func (c *CPU) nextRand(bound int64) uint64 {
 }
 
 func (c *CPU) write(r isa.Reg, v uint64) {
-	if r != isa.R0 {
+	if r != isa.R0 && c.regs[r] != v {
 		c.regs[r] = v
+		c.stepDirty = true
 	}
 }
 
@@ -167,6 +203,7 @@ func (c *CPU) step(now engine.Time) {
 	if c.halted {
 		return
 	}
+	c.stepPC, c.stepALU, c.stepDirty = c.pc, 0, false
 	for slots := c.cfg.IssueWidth; slots > 0; slots-- {
 		in := c.prog.Code[c.pc]
 		if in.Op.IsMemory() {
@@ -200,7 +237,11 @@ func (c *CPU) step(now engine.Time) {
 			c.plat.Halted(c.id)
 			return
 		default:
+			if in.Op == isa.OpRand {
+				c.stepDirty = true
+			}
 			c.execALU(in)
+			c.stepALU++
 		}
 	}
 	c.eng.At(now+1, c.stepFn)
@@ -342,13 +383,24 @@ func (c *CPU) issueMem(in isa.Instr, now engine.Time) {
 // instruction with its result and resumes the next cycle.
 func (c *CPU) complete(res mem.Result) {
 	in := &c.prog.Code[c.waitPC]
+	now := c.eng.Now()
 	c.waiting = false
-	c.MemCycles += uint64(c.eng.Now() - c.waitSince)
+	c.MemCycles += uint64(now - c.waitSince)
 	if res.TearOff {
 		c.SpinResults++
 	}
 	switch in.Op {
-	case isa.OpLw, isa.OpLl, isa.OpEnqolb:
+	case isa.OpLw, isa.OpLl:
+		// A fixed point: the step that issued this load began right after
+		// it and changed no register, and neither does the result. The
+		// next step is then this one again.
+		spin := !c.stepDirty && c.stepPC == c.waitPC+1 &&
+			(in.Rd == isa.R0 || c.regs[in.Rd] == res.Value)
+		c.write(in.Rd, res.Value)
+		if spin && c.sleep(in, res.Value, now) {
+			return
+		}
+	case isa.OpEnqolb:
 		c.write(in.Rd, res.Value)
 	case isa.OpSc:
 		if res.OK {
@@ -360,4 +412,58 @@ func (c *CPU) complete(res mem.Result) {
 		c.write(in.Rt, res.Value)
 	}
 	c.eng.After(1, c.stepFn)
+}
+
+// sleep parks the CPU at a spin fixed point instead of scheduling its next
+// step, if its port can watch the load's line and nothing observes single
+// events. The engine passes the slots of the steps and completions the
+// CPU would have dispatched, in their exact places; the watch's wake
+// charges them, and the next slot then dispatches for real.
+func (c *CPU) sleep(in *isa.Instr, v uint64, now engine.Time) bool {
+	if c.watcher == nil || c.eng.Observed() {
+		return false
+	}
+	kind := mem.Load
+	if in.Op == isa.OpLl {
+		kind = mem.LoadLinked
+	}
+	lat, tear, ok := c.watcher.Watch(kind, c.waitAddr, v, c.wakeFn)
+	if !ok {
+		return false
+	}
+	c.sleepAt, c.sleepLat, c.sleepVal, c.sleepTear = now+1, lat, v, tear
+	c.eng.Park(&c.sl, now+1, [2]engine.Time{lat, 1}, c.resume)
+	return true
+}
+
+// wake ends the sleep. Each passed step slot issued the load (its step's
+// instructions and one memory op) and each passed completion slot retired
+// it (its latency, and a tear-off result); when the last slot passed was a
+// step, the CPU is waiting on that load. It returns the loads skipped.
+func (c *CPU) wake() uint64 {
+	passed := c.eng.Wake(&c.sl)
+	loads, dones := passed[0], passed[1]
+	c.Instructions += loads * (c.stepALU + 1)
+	c.MemOps += loads
+	c.MemCycles += dones * uint64(c.sleepLat)
+	if c.sleepTear {
+		c.SpinResults += dones
+	}
+	if loads > dones {
+		c.waiting = true
+		c.waitSince = c.sleepAt + engine.Time(loads-1)*(c.sleepLat+1)
+	}
+	return loads
+}
+
+// resumer fires at a woken sleep's next slot: a step, or the completion of
+// the load the last passed step slot issued.
+type resumer struct{ c *CPU }
+
+func (r resumer) Fire(now engine.Time, arg engine.Arg) {
+	if arg.A == 0 {
+		r.c.step(now)
+		return
+	}
+	r.c.complete(mem.Result{Value: r.c.sleepVal, TearOff: r.c.sleepTear})
 }
