@@ -208,10 +208,10 @@ func (c *Controller) complete(req mem.Request, res mem.Result) {
 //   - any install at this node, which moves the LRU stamps the skipped
 //     hits would have set and may evict the line from L1 or L2;
 //   - any data message for the line (a tear-off replaced, a fill), or
-//     the line's miss squashed or retired. A plain read answered by a
+//     the line's miss squashed or retired (a plain read answered by a
 //     tear-off retires its miss in the event that completed it, after
-//     the processor armed its watch.
-//   - Degrade (Fabric.Settle).
+//     the processor armed its watch);
+//   - Degrade, and the end of the run (Fabric.Settle).
 func (c *Controller) Watch(kind mem.AccessKind, addr mem.Addr, v uint64, wake func() uint64) (lat engine.Time, tearOff, ok bool) {
 	line := addr.Line()
 	ls := c.at(line)
