@@ -157,7 +157,7 @@ func Explore(cfg ExploreConfig) (*ExploreReport, error) {
 	return rep, nil
 }
 
-// runSchedule executes one perturbed run under a full-strength monitor.
+// runSchedule executes one perturbed run under a monitor.
 func runSchedule(cfg ExploreConfig, p workload.Params, assign []int) (
 	counters []uint64, vs []Violation, panicMsg string) {
 	defer func() {
@@ -178,7 +178,7 @@ func runSchedule(cfg ExploreConfig, p workload.Params, assign []int) (
 	for _, l := range bld.Locks {
 		m.RegisterLockAddr(l)
 	}
-	mon := AttachToMachine(m, Config{ScanStride: 1, StarvationBound: cfg.StarvationBound})
+	mon := AttachToMachine(m, Config{StarvationBound: cfg.StarvationBound})
 	end := cfg.Offset + uint64(len(assign))
 	m.Fabric().Net().SetPerturb(func(idx uint64, msg interconnect.Msg) engine.Time {
 		if idx < cfg.Offset || idx >= end {

@@ -1,5 +1,5 @@
 // Package check is the correctness-verification subsystem for the IQOLB
-// simulator: always-on protocol-invariant monitors (this file), a bounded
+// simulator: opt-in protocol-invariant monitors (this file), a bounded
 // schedule explorer that permutes coherence-message delivery orders
 // (explorer.go), and a differential oracle that runs one workload
 // signature under every lock primitive and compares final memory state
@@ -9,10 +9,16 @@
 // likely to break: single-writer-multiple-reader, the data-value
 // invariant, bus-order lock hand-off, tear-off copies staying
 // non-coherent, and freedom from starvation of queued LPRFO waiters.
+//
+// A monitor polls nothing. It checks a line inside the probe callback
+// that changed it, and the starvation watchdog runs at an engine
+// Deadline, so a monitored run dispatches the same events as a bare one
+// and its spinning processors sleep as they would there.
 package check
 
 import (
 	"fmt"
+	"slices"
 
 	"iqolb/internal/coherence"
 	"iqolb/internal/engine"
@@ -21,22 +27,18 @@ import (
 	"iqolb/internal/mem"
 )
 
-// Config tunes a Monitor. The zero value is a sensible always-on setup:
-// full invariant scans every defaultScanStride events, a starvation bound
-// derived from the policy's delay budgets, and fail-fast halting.
+// Config tunes a Monitor, which a run attaches when it asks for checking.
+// The zero value is a sensible setup: a starvation bound derived from the
+// policy's delay budgets, and fail-fast halting.
 type Config struct {
-	// ScanStride runs a full invariant scan every N dispatched events
-	// (1 = every event, as the explorer uses; 0 = defaultScanStride).
-	// Installs and grants are additionally checked immediately, so a
-	// sparse stride only delays detection of scan-only violations.
-	ScanStride uint64
 	// StarvationBound is the maximum age, in cycles, of an observed but
 	// ungranted LPRFO before the watchdog flags starvation. 0 derives a
 	// bound from the policy's lock/SC delay budgets and the node count.
 	StarvationBound engine.Time
 	// KeepGoing records violations without halting the engine. The
 	// default (false) halts the machine at the end of the first violating
-	// event, so a broken run stops burning cycles.
+	// event (or at the watchdog's deadline), so a broken run stops
+	// burning cycles.
 	KeepGoing bool
 	// MaxViolations caps the recorded violation list (0 = 32).
 	MaxViolations int
@@ -57,10 +59,7 @@ type Degrader interface {
 	Degrade(reason string)
 }
 
-const (
-	defaultScanStride    = 4096
-	defaultMaxViolations = 32
-)
+const defaultMaxViolations = 32
 
 // Violation is one observed invariant breach.
 type Violation struct {
@@ -81,9 +80,11 @@ type pendingGrant struct {
 	since engine.Time
 }
 
-// Monitor implements coherence.Probe and engine after-step checking. It
-// tracks only lines contended by two or more distinct requesters, so
-// private streaming traffic costs one map lookup per bus transaction.
+// Monitor implements coherence.Probe. It tracks only lines contended by
+// two or more distinct requesters, so private streaming traffic costs one
+// map lookup per bus transaction, and checks a tracked line at each
+// install into it and each store committed to it: the only places its
+// state or value changes in a way that can break an invariant.
 type Monitor struct {
 	eng       *engine.Engine
 	f         *coherence.Fabric
@@ -96,14 +97,15 @@ type Monitor struct {
 	shadow   map[mem.Addr]uint64
 	pending  map[mem.LineID][]pendingGrant
 
+	// The tear-off delivery of the event numbered tearEvent (0 = none).
 	tearNode  mem.NodeID
 	tearLine  mem.LineID
-	tearValid bool
+	tearEvent uint64
 
-	events     uint64
-	scans      uint64
+	armed bool // the starvation watchdog's deadline is set
+
+	checks     uint64
 	violations []Violation
-	halted     bool
 
 	degraded      bool
 	degradeReason string
@@ -111,12 +113,9 @@ type Monitor struct {
 }
 
 // Attach builds a monitor over an assembled fabric and hooks it into the
-// engine and the coherence probe. Call before the machine runs.
+// coherence probe. Call before the machine runs.
 func Attach(eng *engine.Engine, f *coherence.Fabric, procs int, cfg Config) *Monitor {
 	pol := f.Node(0).Policy().Config()
-	if cfg.ScanStride == 0 {
-		cfg.ScanStride = defaultScanStride
-	}
 	if cfg.MaxViolations == 0 {
 		cfg.MaxViolations = defaultMaxViolations
 	}
@@ -135,7 +134,6 @@ func Attach(eng *engine.Engine, f *coherence.Fabric, procs int, cfg Config) *Mon
 		pending:   make(map[mem.LineID][]pendingGrant),
 	}
 	f.AddProbe(mo)
-	eng.AddAfterStep(mo.afterStep)
 	return mo
 }
 
@@ -147,11 +145,8 @@ func AttachToMachine(m *machine.Machine, cfg Config) *Monitor {
 // Violations returns the recorded breaches (nil when the run was clean).
 func (mo *Monitor) Violations() []Violation { return mo.violations }
 
-// Events reports how many engine events the monitor observed.
-func (mo *Monitor) Events() uint64 { return mo.events }
-
-// Scans reports how many full invariant scans ran.
-func (mo *Monitor) Scans() uint64 { return mo.scans }
+// Checks reports how many times a tracked line was checked.
+func (mo *Monitor) Checks() uint64 { return mo.checks }
 
 // TrackedLines reports how many contended lines the monitor is checking.
 func (mo *Monitor) TrackedLines() int { return len(mo.tracked) }
@@ -170,13 +165,18 @@ func (mo *Monitor) Err() error {
 	return &ViolationError{Violations: mo.violations}
 }
 
-// Finish runs the end-of-run checks (a final full scan plus the committed
-// value vs. surviving memory state comparison) and returns Err.
+// Finish runs the end-of-run checks (every tracked line, the starvation
+// watchdog, and the committed value vs. surviving memory state comparison)
+// and returns Err.
 func (mo *Monitor) Finish() error {
 	// The engine has stopped; degrading now would flush delays into a
 	// dead event queue. Starvation found here reports as a violation.
 	mo.finishing = true
-	mo.scanAll(mo.eng.Now())
+	now := mo.eng.Now()
+	for line := range mo.tracked {
+		mo.checkLine(line, now)
+	}
+	mo.watchdog(now)
 	for addr, want := range mo.shadow {
 		if got := mo.peek(addr); got != want {
 			mo.report(Violation{At: mo.eng.Now(), Kind: "data-value", Line: addr.Line(),
@@ -211,6 +211,9 @@ func (mo *Monitor) report(v Violation) {
 	if len(mo.violations) < mo.cfg.MaxViolations {
 		mo.violations = append(mo.violations, v)
 	}
+	if !mo.cfg.KeepGoing {
+		mo.eng.Halt()
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -228,7 +231,11 @@ func (mo *Monitor) Observe(tx interconnect.Tx) {
 		}
 	}
 	if tx.Kind == mem.TxLPRFO {
-		mo.pending[line] = append(mo.pending[line], pendingGrant{node: tx.Requester, since: mo.eng.Now()})
+		now := mo.eng.Now()
+		mo.pending[line] = append(mo.pending[line], pendingGrant{node: tx.Requester, since: now})
+		if !mo.armed {
+			mo.arm(now)
+		}
 	}
 }
 
@@ -257,14 +264,14 @@ func (mo *Monitor) DataSend(m interconnect.Msg) {
 // DataDeliver arms the tear-off ownership check for this event.
 func (mo *Monitor) DataDeliver(m interconnect.Msg) {
 	if m.Kind == mem.DataTearOff {
-		mo.tearNode, mo.tearLine, mo.tearValid = m.To, m.Line, true
+		mo.tearNode, mo.tearLine, mo.tearEvent = m.To, m.Line, mo.eng.Fired()
 	}
 }
 
-// Install checks SWMR immediately at every install of a tracked line, and
-// that tear-off deliveries never install anything.
+// Install checks a tracked line at every install into it, and that
+// tear-off deliveries never install anything.
 func (mo *Monitor) Install(node mem.NodeID, line mem.LineID, state mem.State) {
-	if mo.tearValid && mo.tearNode == node && mo.tearLine == line {
+	if mo.tearEvent == mo.eng.Fired() && mo.tearNode == node && mo.tearLine == line {
 		mo.report(Violation{At: mo.eng.Now(), Kind: "tearoff-ownership", Line: line, Node: node,
 			Detail: fmt.Sprintf("tear-off delivery installed a durable %s copy", state)})
 	}
@@ -273,10 +280,12 @@ func (mo *Monitor) Install(node mem.NodeID, line mem.LineID, state mem.State) {
 	}
 }
 
-// CommitStore maintains the last-committed-value shadow for tracked lines.
+// CommitStore maintains the last-committed-value shadow for a tracked
+// line and checks the line against it.
 func (mo *Monitor) CommitStore(node mem.NodeID, addr mem.Addr, value uint64) {
-	if mo.tracked[addr.Line()] {
+	if line := addr.Line(); mo.tracked[line] {
 		mo.shadow[addr] = value
+		mo.checkLine(line, mo.eng.Now())
 	}
 }
 
@@ -293,59 +302,65 @@ func (mo *Monitor) Squash(node mem.NodeID, line mem.LineID) {
 }
 
 // ---------------------------------------------------------------------------
-// Scanning
+// Checking
 // ---------------------------------------------------------------------------
 
-// afterStep runs after every dispatched engine event.
-func (mo *Monitor) afterStep(now engine.Time) {
-	mo.events++
-	mo.tearValid = false
-	if mo.events%mo.cfg.ScanStride == 0 {
-		mo.scanAll(now)
-	}
-	if !mo.cfg.KeepGoing && len(mo.violations) > 0 && !mo.halted {
-		mo.halted = true
-		mo.eng.Halt()
-	}
+// arm sets the watchdog's deadline for a grant pending since since: the
+// first cycle at which it would be older than the bound.
+func (mo *Monitor) arm(since engine.Time) {
+	mo.armed = true
+	mo.eng.Deadline(since+mo.cfg.StarvationBound+1, mo.watchdog)
 }
 
-// scanAll checks every tracked line plus the starvation watchdog.
-func (mo *Monitor) scanAll(now engine.Time) {
-	mo.scans++
-	for line := range mo.tracked {
-		mo.checkLine(line, now)
+// watchdog flags every pending grant older than the bound, in line order,
+// and re-arms for the oldest one that is not. The grants granted since
+// the deadline was set are gone from the queues, so it may find none.
+func (mo *Monitor) watchdog(now engine.Time) {
+	mo.armed = false
+	oldest := now + 1 // the oldest grant within the bound; now+1 = none
+	lines := make([]mem.LineID, 0, len(mo.pending))
+	for line := range mo.pending {
+		lines = append(lines, line)
 	}
-	for line, q := range mo.pending {
-		for _, p := range q {
-			if now-p.since > mo.cfg.StarvationBound {
-				if mo.cfg.Degrader != nil && !mo.degraded && !mo.finishing {
-					// Recovery, not failure: drop the machine to
-					// plain-RFO semantics and give every pending grant
-					// a fresh starvation clock. Only a second
-					// starvation — the degraded protocol itself failing
-					// to make progress — is reported as a violation.
-					mo.degraded = true
-					mo.degradeReason = fmt.Sprintf(
-						"starvation: node %s LPRFO on line %d ungranted after %d cycles",
-						p.node, line, now-p.since)
-					mo.cfg.Degrader.Degrade(mo.degradeReason)
-					for _, pq := range mo.pending {
-						for i := range pq {
-							pq[i].since = now
-						}
+	slices.Sort(lines)
+	for _, line := range lines {
+		for _, p := range mo.pending[line] {
+			switch {
+			case now-p.since <= mo.cfg.StarvationBound:
+				oldest = min(oldest, p.since)
+			case mo.cfg.Degrader != nil && !mo.degraded && !mo.finishing:
+				// Recovery, not failure: drop the machine to plain-RFO
+				// semantics and give every pending grant a fresh
+				// starvation clock. Only a second starvation — the
+				// degraded protocol itself failing to make progress —
+				// is reported as a violation.
+				mo.degraded = true
+				mo.degradeReason = fmt.Sprintf(
+					"starvation: node %s LPRFO on line %d ungranted after %d cycles",
+					p.node, line, now-p.since)
+				mo.cfg.Degrader.Degrade(mo.degradeReason)
+				for _, pq := range mo.pending {
+					for i := range pq {
+						pq[i].since = now
 					}
-					return
 				}
+				mo.arm(now)
+				return
+			default:
 				mo.report(Violation{At: now, Kind: "starvation", Line: line, Node: p.node,
 					Detail: fmt.Sprintf("LPRFO observed at cycle %d still ungranted after %d cycles",
 						p.since, now-p.since)})
 			}
 		}
 	}
+	if oldest <= now && !mo.finishing {
+		mo.arm(oldest)
+	}
 }
 
 // checkLine verifies SWMR and the data-value invariant on one line.
 func (mo *Monitor) checkLine(line mem.LineID, now engine.Time) {
+	mo.checks++
 	exclusive, owned, readers := 0, 0, 0
 	exclNode := mem.MemoryNode
 	for i := 0; i < mo.procs; i++ {

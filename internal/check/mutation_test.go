@@ -10,7 +10,7 @@ import (
 )
 
 // mutationRun executes the 2-proc hand-off kernel under IQOLB with a
-// full-strength monitor and the given fault plan (nil = clean run),
+// monitor and the given fault plan (nil = clean run),
 // returning the monitor and the run error without failing on either (a
 // detected violation halts the machine, which surfaces as a deadlock).
 // The fault switches are per-machine, so these tests parallelize with
@@ -33,7 +33,7 @@ func mutationRun(t *testing.T, plan *faults.Plan) (*Monitor, error) {
 	for _, l := range bld.Locks {
 		m.RegisterLockAddr(l)
 	}
-	mon := AttachToMachine(m, Config{ScanStride: 1, StarvationBound: 50_000})
+	mon := AttachToMachine(m, Config{StarvationBound: 50_000})
 	_, runErr := m.Run()
 	mon.Finish()
 	return mon, runErr
@@ -107,8 +107,7 @@ func TestMutationStuckDelayDegrades(t *testing.T) {
 	for _, l := range bld.Locks {
 		m.RegisterLockAddr(l)
 	}
-	mon := AttachToMachine(m, Config{ScanStride: 1, StarvationBound: 50_000,
-		Degrader: m.Fabric()})
+	mon := AttachToMachine(m, Config{StarvationBound: 50_000, Degrader: m.Fabric()})
 	res, runErr := m.Run()
 	if err := mon.Finish(); err != nil {
 		t.Fatalf("degraded run not clean: %v", err)

@@ -780,7 +780,10 @@ func TestRandomStressInvariants(t *testing.T) {
 			}
 			// The record's queue invariant, checked after every event: a
 			// duty marked removed is never still queued.
-			r.eng.AddAfterStep(func(engine.Time) {
+			for r.eng.Step() {
+				if r.eng.Now() > 10_000_000 {
+					t.Fatal("rig run passed 10M cycles (likely livelock)")
+				}
 				for _, c := range r.f.nodes {
 					for line, ls := range c.lines {
 						for _, d := range ls.duties {
@@ -790,8 +793,7 @@ func TestRandomStressInvariants(t *testing.T) {
 						}
 					}
 				}
-			})
-			r.run()
+			}
 			if outstanding != 0 {
 				t.Fatalf("%d operations never completed", outstanding)
 			}
@@ -882,12 +884,11 @@ func TestDebugLineRendersKnownState(t *testing.T) {
 		})
 	})
 	var got string
-	r.eng.AddAfterStep(func(engine.Time) {
+	for r.eng.Step() {
 		if got == "" && r.f.Node(0).at(1).loanedOut {
 			got = r.f.DebugLine(1)
 		}
-	})
-	r.run()
+	}
 	want := "line 1 (base 0x40): owner=P1 holder=P0\n" +
 		"  P0: state=I LOANED-OUT(waiters=0) holding-lock" +
 		" duty{LPRFO from P1 delayed=true inService=false removed=false loan=false}\n" +

@@ -58,7 +58,7 @@ func (f *Fabric) markStuck(line mem.LineID) { f.track(line).stuck = true }
 // answers false everywhere, every armed delayed response is flushed on
 // the spot (stuck lines included — the injector is bypassed once
 // degraded), and no further fault fires. Idempotent; safe to call from
-// a monitor's after-step hook mid-run. The check monitor's starvation
+// a monitor's engine deadline mid-run. The check monitor's starvation
 // watchdog is the intended caller (check.Config.Degrader).
 func (f *Fabric) Degrade(reason string) {
 	if f.degraded {

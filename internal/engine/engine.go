@@ -17,6 +17,10 @@
 // can see (a processor spinning on a cached lock) parks a Sleep instead:
 // its slots keep their exact place in the dispatch order, and consume
 // sequence numbers as the events would, but fire nothing until it is woken.
+//
+// An observer that must act at a time rather than on an event (a watchdog)
+// sets a Deadline: it runs among the events without taking a place in
+// their order, and a run that ends first never reaches it.
 package engine
 
 import "fmt"
@@ -80,12 +84,14 @@ type Sleep struct {
 //
 // The zero value is not ready to use; call New.
 type Engine struct {
-	now       Time
-	seq       uint64
-	queue     []item // binary min-heap by before
-	fired     uint64
-	halted    bool
-	afterStep []func(Time)
+	now    Time
+	seq    uint64
+	queue  []item // binary min-heap by before
+	fired  uint64
+	halted bool
+
+	deadline   Time
+	onDeadline Func // nil when no deadline is set
 
 	// Parked sleeps, a ring ordered by (at, seq): a passed slot is re-keyed
 	// with the newest seq, so it only ever moves toward the tail. nWoken
@@ -111,11 +117,6 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // Pending reports how many events are waiting: queued events and parked
 // sleeps, each of which holds one slot.
 func (e *Engine) Pending() int { return len(e.queue) + e.nSlept }
-
-// Observed reports whether an after-step observer is installed. Such an
-// observer sees every event, so a component must not park a Sleep while
-// one is.
-func (e *Engine) Observed() bool { return len(e.afterStep) > 0 }
 
 // Schedule arranges for h.Fire(at, arg) at absolute time at. Scheduling
 // into the past panics: it would silently corrupt causality and always
@@ -261,24 +262,30 @@ func (e *Engine) nextSleep() *Sleep {
 // from inside an event.
 func (e *Engine) Halt() { e.halted = true }
 
-// AddAfterStep installs a callback invoked after every dispatched event,
-// with the clock at that event's time. Observers (invariant monitors) use
-// it for periodic scans; the callback must not schedule events or otherwise
-// perturb the simulation. Callbacks already installed stay, so independent
-// observers (an invariant monitor and an observability collector, say) can
-// coexist on one engine; they fire in attachment order.
-func (e *Engine) AddAfterStep(fn func(Time)) {
-	if fn == nil {
-		return
-	}
-	e.afterStep = append(e.afterStep, fn)
+// Deadline arranges for fn to run once, with the clock at at (or at now, if
+// at has passed), ahead of the first event or slot due at or after at. It
+// takes no sequence number and holds no slot, so every event keeps its
+// (time, seq) place, and a run whose events end before at never reaches
+// it: Pending does not count it. fn may schedule events. Setting a
+// deadline replaces the one before; a nil fn clears it.
+func (e *Engine) Deadline(at Time, fn Func) {
+	e.deadline, e.onDeadline = at, fn
 }
 
 // Step dispatches the single earliest pending event, advancing the clock to
 // its timestamp. A sleeping Sleep's slot is passed instead: it is counted
-// and re-keyed as its next slot, and nothing fires. Step reports false
-// when nothing is pending.
+// and re-keyed as its next slot, and nothing fires. A deadline due no later
+// than that event or slot runs instead, and alone. Step reports false when
+// nothing is pending.
 func (e *Engine) Step() bool {
+	if fn := e.onDeadline; fn != nil {
+		if at, ok := e.nextAt(); ok && e.deadline <= at {
+			e.onDeadline = nil
+			e.now = max(e.now, e.deadline)
+			fn(e.now)
+			return true
+		}
+	}
 	if s := e.nextSleep(); s != nil {
 		e.popSleep()
 		e.now = s.at
@@ -287,7 +294,8 @@ func (e *Engine) Step() bool {
 			if s.delay != [2]Time{1, 1} {
 				e.nUneven--
 			}
-			e.fire(s.h, Arg{A: s.phase})
+			e.fired++
+			s.h.Fire(e.now, Arg{A: s.phase})
 			return true
 		}
 		s.passed[s.phase]++
@@ -303,42 +311,33 @@ func (e *Engine) Step() bool {
 	}
 	it := e.pop()
 	e.now = it.at
-	e.fire(it.h, it.arg)
+	e.fired++
+	it.h.Fire(e.now, it.arg)
 	return true
 }
 
-func (e *Engine) fire(h Handler, arg Arg) {
-	e.fired++
-	h.Fire(e.now, arg)
-	for _, fn := range e.afterStep {
-		fn(e.now)
-	}
-}
-
 // skipSleeps passes at once the whole cycles in which only sleeps are due,
-// up to the next queued event or the limit. It applies when every sleep is
-// due in the same cycle, none is woken, and each has one-cycle delays:
-// each then passes one slot per cycle, in an order that never changes, so
-// m cycles re-key sleep j of n (in ring order) with the seq its last slot
-// would take, m*n slots after the current one. Otherwise the slots pass
-// one at a time in Step.
+// up to the next queued event, the deadline or the limit. It applies when
+// every sleep is due in the same cycle, none is woken, and each has
+// one-cycle delays: each then passes one slot per cycle, in an order that
+// never changes, so m cycles re-key sleep j of n (in ring order) with the
+// seq its last slot would take, m*n slots after the current one. Otherwise
+// the slots pass one at a time in Step.
 func (e *Engine) skipSleeps(limit Time) {
 	t := e.sleeps[e.sleepHead].at
-	var end Time // the first cycle that is not skipped
-	switch {
-	case len(e.queue) > 0:
+	end := ^Time(0) // the first cycle that is not skipped
+	if len(e.queue) > 0 {
 		end = e.queue[0].at
-		if limit != 0 && end > limit+1 {
-			end = limit + 1
-		}
-	case limit != 0:
-		end = limit + 1
-	default:
-		return
+	}
+	if limit != 0 {
+		end = min(end, limit+1)
+	}
+	if e.onDeadline != nil {
+		end = min(end, e.deadline)
 	}
 	mask := len(e.sleeps) - 1
 	last := e.sleeps[(e.sleepHead+e.nSlept-1)&mask]
-	if end <= t || last.at != t || e.nWoken > 0 || e.nUneven > 0 {
+	if end == ^Time(0) || end <= t || last.at != t || e.nWoken > 0 || e.nUneven > 0 {
 		return
 	}
 	m, n := uint64(end-t), uint64(e.nSlept)

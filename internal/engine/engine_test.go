@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -360,50 +361,8 @@ func TestSleepKeepsItsPlace(t *testing.T) {
 }
 
 func keepsPlace(t *testing.T, delays [][2]Time) {
-	run := func(sleep bool) []uint64 {
-		e := New()
-		var spins []*spinner
-		for _, d := range delays {
-			spins = append(spins, &spinner{e: e, delay: d})
-		}
-		for i, s := range spins {
-			if sleep {
-				e.Park(&s.sl, Time(3+i), s.delay, s)
-			} else {
-				e.Schedule(Time(3+i), s, Arg{})
-			}
-		}
-		var log []uint64
-		rng := rand.New(rand.NewSource(7))
-		id := uint64(0)
-		var drive Func
-		logEv := Func(func(now Time) {
-			log = append(log, uint64(now))
-			for _, s := range spins {
-				log = append(log, s.slots())
-			}
-		})
-		drive = func(now Time) {
-			logEv(now)
-			for _, lead := range []Time{0, 1, 2, Time(3 + rng.Intn(6))} {
-				if rng.Intn(2) == 0 {
-					e.At(now+lead, logEv)
-				}
-			}
-			id++
-			if id == 40 && sleep {
-				// Wake the first spinner mid-run; it resumes for real.
-				e.Wake(&spins[0].sl)
-			}
-			if id < 80 {
-				e.At(now+Time(rng.Intn(12)), drive)
-			}
-		}
-		e.At(10, drive)
-		e.Run(900)
-		return log
-	}
-	awake, asleep := run(false), run(true)
+	awake, _ := placeLog(delays, false, false)
+	asleep, _ := placeLog(delays, true, false)
 	if len(awake) != len(asleep) {
 		t.Fatalf("awake run logged %d entries, sleeping run %d", len(awake), len(asleep))
 	}
@@ -412,6 +371,63 @@ func keepsPlace(t *testing.T, delays [][2]Time) {
 			t.Fatalf("delays %v: logs diverge at entry %d: awake %d, sleeping %d", delays, i, awake[i], asleep[i])
 		}
 	}
+}
+
+// placeLog runs spinners with the given delays, asleep or awake, among
+// real events that each log the time and the slots gone by so far; the
+// log ends with the last sequence number taken. With deadlines, a chain
+// of deadlines that each set the next runs alongside; it reports how many
+// ran.
+func placeLog(delays [][2]Time, sleep, deadlines bool) (log []uint64, ran int) {
+	e := New()
+	var spins []*spinner
+	for _, d := range delays {
+		spins = append(spins, &spinner{e: e, delay: d})
+	}
+	for i, s := range spins {
+		if sleep {
+			e.Park(&s.sl, Time(3+i), s.delay, s)
+		} else {
+			e.Schedule(Time(3+i), s, Arg{})
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	id := uint64(0)
+	if deadlines {
+		drng := rand.New(rand.NewSource(11))
+		var next Func
+		next = func(now Time) {
+			ran++
+			e.Deadline(now+Time(drng.Intn(8)), next)
+		}
+		e.Deadline(5, next)
+	}
+	var drive Func
+	logEv := Func(func(now Time) {
+		log = append(log, uint64(now))
+		for _, s := range spins {
+			log = append(log, s.slots())
+		}
+	})
+	drive = func(now Time) {
+		logEv(now)
+		for _, lead := range []Time{0, 1, 2, Time(3 + rng.Intn(6))} {
+			if rng.Intn(2) == 0 {
+				e.At(now+lead, logEv)
+			}
+		}
+		id++
+		if id == 40 && sleep {
+			// Wake the first spinner mid-run; it resumes for real.
+			e.Wake(&spins[0].sl)
+		}
+		if id < 80 {
+			e.At(now+Time(rng.Intn(12)), drive)
+		}
+	}
+	e.At(10, drive)
+	e.Run(900)
+	return append(log, e.seq), ran
 }
 
 // TestSleepPassesCyclesInBulk: with one-cycle delays and no queued event,
@@ -437,5 +453,84 @@ func TestSleepPassesCyclesInBulk(t *testing.T) {
 	e.Run(1_000_001)
 	if e.Fired() != 1 || b.fired != 1 || a.fired != 0 {
 		t.Fatalf("after waking b: %d fired (a %d, b %d), want b's slot only", e.Fired(), a.fired, b.fired)
+	}
+}
+
+// TestDeadlineFiresAmongSleeps: with only sleeps pending, a deadline runs
+// at its cycle, whether the slots before it pass in bulk (one-cycle
+// delays) or one at a time, and the sleeps come out of the run exactly as
+// they do without it.
+func TestDeadlineFiresAmongSleeps(t *testing.T) {
+	for _, delay := range [][2]Time{{1, 1}, {2, 1}} {
+		run := func(deadline bool) (a, b Sleep, at Time, slots uint64) {
+			e := New()
+			sa := &spinner{e: e, delay: delay}
+			sb := &spinner{e: e, delay: delay}
+			e.Park(&sa.sl, 1, delay, sa)
+			e.Park(&sb.sl, 1, delay, sb)
+			if deadline {
+				e.Deadline(5_000, func(now Time) { at, slots = now, sa.slots() })
+			}
+			e.Run(10_000)
+			if e.Fired() != 0 {
+				t.Fatalf("delays %v: fired %d events, want 0", delay, e.Fired())
+			}
+			sa.sl.h, sb.sl.h = nil, nil // compare the slots, not the owners
+			return sa.sl, sb.sl, at, slots
+		}
+		a, b, _, _ := run(false)
+		da, db, at, slots := run(true)
+		if at != 5_000 {
+			t.Fatalf("delays %v: deadline ran at %d, want 5000", delay, at)
+		}
+		// The slots due before cycle 5000 have passed, and no other.
+		if want := 4_999 / uint64(delay[0]+delay[1]) * 2; slots < want || slots > want+1 {
+			t.Fatalf("delays %v: %d slots passed by the deadline, want about %d", delay, slots, want)
+		}
+		if da != a || db != b {
+			t.Fatalf("delays %v: the deadline moved the sleeps: %+v %+v, want %+v %+v", delay, da, db, a, b)
+		}
+	}
+}
+
+// TestDeadlineDoesNotExtendFinishedRun: a deadline past the last event
+// never runs, and the run ends at the last event; one before an event
+// runs ahead of it, even in the same cycle.
+func TestDeadlineDoesNotExtendFinishedRun(t *testing.T) {
+	e := New()
+	var log []Time
+	e.At(10, func(now Time) { log = append(log, now) })
+	e.At(20, func(now Time) { log = append(log, now) })
+	e.Deadline(20, func(now Time) {
+		log = append(log, 100+now)
+		e.Deadline(1_000_000, func(now Time) { log = append(log, 100+now) })
+	})
+	end, hit := e.Run(0)
+	if end != 20 || hit || e.Now() != 20 || e.Pending() != 0 {
+		t.Fatalf("run ended at %d (limit %v, now %d, pending %d), want 20", end, hit, e.Now(), e.Pending())
+	}
+	if want := []Time{10, 120, 20}; !reflect.DeepEqual(log, want) {
+		t.Fatalf("log %v, want %v", log, want)
+	}
+	if e.Fired() != 2 {
+		t.Fatalf("fired %d events, want 2: a deadline is not an event", e.Fired())
+	}
+}
+
+// TestDeadlineLeavesOrderUnchanged: a chain of deadlines running among
+// real events and spinners, awake and asleep, leaves every event and slot
+// at its (time, seq) place: the logs match a run without deadlines.
+func TestDeadlineLeavesOrderUnchanged(t *testing.T) {
+	for _, delays := range [][][2]Time{{{1, 1}, {1, 1}}, {{1, 1}, {2, 1}}} {
+		for _, sleep := range []bool{false, true} {
+			want, _ := placeLog(delays, sleep, false)
+			got, ran := placeLog(delays, sleep, true)
+			if ran < 100 {
+				t.Fatalf("delays %v sleep %v: %d deadlines ran, want the chain to run throughout", delays, sleep, ran)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("delays %v sleep %v: deadlines changed the dispatch order", delays, sleep)
+			}
+		}
 	}
 }

@@ -70,8 +70,8 @@ func summarize(sysName, benchName string, procs int, res machine.Result) Result 
 }
 
 // monitorConfig derives the invariant-monitor configuration for a run
-// carrying fault plan fp (nil = the always-on defaults). A degrading
-// plan wires the fabric in as the starvation watchdog's recovery hook.
+// carrying fault plan fp (nil = the defaults). A degrading plan wires the
+// fabric in as the starvation watchdog's recovery hook.
 func monitorConfig(m *machine.Machine, fp *faults.Plan) check.Config {
 	cfg := check.Config{}
 	if fp == nil {
@@ -172,17 +172,31 @@ func runFetchAdd(cfg machine.Config, sys System, procs, totalOps int, think int6
 	if err != nil {
 		return Result{}, err
 	}
+	return runBuild(cfg, bld, "fetchadd", sys.Name, checked, tr, nil, func(peek Peeker) error {
+		return workload.VerifyFetchAdd(uint64(totalOps), peek)
+	})
+}
+
+// runBuild executes a generated kernel under cfg and checks it: under the
+// invariant monitor when checked is set or cfg carries a fault plan, with
+// the observability stream collected when tr is non-nil (see
+// TraceOptions), and with verify run over the final memory. p, nil for
+// counterless kernels, names the per-lock counters a faulted run reports.
+func runBuild(cfg machine.Config, bld *workload.Build, name, sysName string, checked bool,
+	tr *TraceOptions, p *workload.Params, verify func(Peeker) error) (Result, error) {
 	m, err := machine.New(cfg, bld.Program, nil)
 	if err != nil {
 		return Result{}, err
+	}
+	for _, l := range bld.Locks {
+		m.RegisterLockAddr(l)
 	}
 	// A fault plan implies the monitors: an injected fault must be
 	// either survived or reported, never silently absorbed into wrong
 	// measurements.
 	fp := cfg.Faults
-	checked = checked || fp != nil
 	var mon *check.Monitor
-	if checked {
+	if checked || fp != nil {
 		mon = check.AttachToMachine(m, monitorConfig(m, fp))
 	}
 	var log *obs.Log
@@ -190,26 +204,28 @@ func runFetchAdd(cfg machine.Config, sys System, procs, totalOps int, think int6
 		log = obs.Attach(m)
 	}
 	res, err := m.Run()
+	// The monitor halts the machine on a violation, which surfaces from
+	// Run as a deadlock: report the violation, not the symptom.
 	if mon != nil {
 		if cerr := mon.Finish(); cerr != nil {
-			return Result{}, fmt.Errorf("fetchadd/%s: %w", sys.Name, cerr)
+			return Result{}, fmt.Errorf("%s: %w", name, cerr)
 		}
 	}
+	if err == nil && res.HitLimit {
+		err = fmt.Errorf("%w (%d cycles)", ErrCycleLimit, cfg.CycleLimit)
+	}
+	if err == nil {
+		err = verify(m.Peek)
+	}
 	if err != nil {
-		return Result{}, err
+		return Result{}, fmt.Errorf("%s: %w", name, err)
 	}
-	if res.HitLimit {
-		return Result{}, fmt.Errorf("fetchadd/%s: %w (%d cycles)", sys.Name, ErrCycleLimit, cfg.CycleLimit)
-	}
-	if err := workload.VerifyFetchAdd(uint64(totalOps), m.Peek); err != nil {
-		return Result{}, err
-	}
-	out := summarize(sys.Name, "fetchadd", procs, res)
+	out := summarize(sysName, name, cfg.Processors, res)
 	if fp != nil {
-		fillFaultOutcome(m, nil, &out)
+		fillFaultOutcome(m, p, &out)
 	}
 	if err := finishTrace(log, tr, &out); err != nil {
-		return Result{}, fmt.Errorf("fetchadd/%s: %w", sys.Name, err)
+		return Result{}, fmt.Errorf("%s: %w", name, err)
 	}
 	return out, nil
 }

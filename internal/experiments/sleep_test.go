@@ -4,19 +4,28 @@ import (
 	"reflect"
 	"testing"
 
+	"iqolb/internal/check"
 	"iqolb/internal/core"
-	"iqolb/internal/engine"
 	"iqolb/internal/isa"
 	"iqolb/internal/machine"
 	"iqolb/internal/synclib"
+	"iqolb/internal/trace"
 	"iqolb/internal/workload"
 )
 
+// How runCell watches a run.
+type cellMode int
+
+const (
+	asleep  cellMode = iota // spinning processors sleep
+	awake                   // a recorder of every line: no processor sleeps
+	checked                 // asleep, under the invariant monitor
+)
+
 // runCell runs one benchmark cell and returns the machine with its result.
-// awake attaches a no-op after-step observer: a processor never sleeps
-// while something watches single events, so the run takes the path where
-// every spin iteration is dispatched.
-func runCell(t *testing.T, bench string, sys System, procs, scale int, cfgEdit func(*machine.Config), awake bool) (*machine.Machine, machine.Result) {
+// A processor never sleeps on a line a trace recorder wants, so an awake
+// run takes the path where every spin iteration is dispatched.
+func runCell(t *testing.T, bench string, sys System, procs, scale int, cfgEdit func(*machine.Config), mode cellMode) (*machine.Machine, machine.Result) {
 	t.Helper()
 	spec, err := workload.ByName(bench)
 	if err != nil {
@@ -30,19 +39,29 @@ func runCell(t *testing.T, bench string, sys System, procs, scale int, cfgEdit f
 	if cfgEdit != nil {
 		cfgEdit(&cfg)
 	}
-	m, err := machine.New(cfg, bld.Program, nil)
+	var rec *trace.Recorder
+	if mode == awake {
+		rec = trace.NewRecorderAll()
+	}
+	m, err := machine.New(cfg, bld.Program, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, l := range bld.Locks {
 		m.RegisterLockAddr(l)
 	}
-	if awake {
-		m.Engine().AddAfterStep(func(engine.Time) {})
+	var mon *check.Monitor
+	if mode == checked {
+		mon = check.AttachToMachine(m, check.Config{})
 	}
 	res, err := m.Run()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if mon != nil {
+		if err := mon.Finish(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if res.HitLimit {
 		t.Fatalf("%s/%s hit the cycle limit", bench, sys.Name)
@@ -50,51 +69,61 @@ func runCell(t *testing.T, bench string, sys System, procs, scale int, cfgEdit f
 	return m, res
 }
 
-// compareSleep runs a cell with sleeping spinners and without, and
-// requires the two runs to agree field by field: the Result (every
-// statistic and histogram, and the per-CPU counters), each node's cache
-// counters, and each CPU's final registers and pc.
+// compareSleep runs a cell with sleeping spinners, again under the
+// invariant monitor, and without sleeping, and requires each sleeping run
+// to agree with the awake one field by field: the Result (every statistic
+// and histogram, and the per-CPU counters), each node's cache counters,
+// and each CPU's final registers and pc. The monitor dispatches nothing:
+// the checked run fires exactly the unchecked run's events.
 func compareSleep(t *testing.T, bench string, sys System, procs, scale int, cfgEdit func(*machine.Config)) {
 	t.Helper()
-	ma, a := runCell(t, bench, sys, procs, scale, cfgEdit, true)
-	ms, s := runCell(t, bench, sys, procs, scale, cfgEdit, false)
-	if !reflect.DeepEqual(a, s) {
-		if a.Cycles != s.Cycles {
-			t.Errorf("cycles: awake %d, sleeping %d", a.Cycles, s.Cycles)
+	ma, a := runCell(t, bench, sys, procs, scale, cfgEdit, awake)
+	var fired [2]uint64
+	for i, mode := range []cellMode{asleep, checked} {
+		name := [...]string{"sleeping", "checked"}[i]
+		ms, s := runCell(t, bench, sys, procs, scale, cfgEdit, mode)
+		if !reflect.DeepEqual(a, s) {
+			if a.Cycles != s.Cycles {
+				t.Errorf("cycles: awake %d, %s %d", a.Cycles, name, s.Cycles)
+			}
+			if !reflect.DeepEqual(a.PerCPU, s.PerCPU) {
+				t.Errorf("per-CPU counters differ:\nawake    %+v\n%-8s %+v", a.PerCPU, name, s.PerCPU)
+			}
+			if !reflect.DeepEqual(a.Stats, s.Stats) {
+				for i := range a.Stats.Nodes {
+					if !reflect.DeepEqual(a.Stats.Nodes[i], s.Stats.Nodes[i]) {
+						t.Errorf("node %d stats differ:\nawake    %+v\n%-8s %+v", i, a.Stats.Nodes[i], name, s.Stats.Nodes[i])
+						break
+					}
+				}
+				t.Errorf("machine stats differ")
+			}
+			t.FailNow()
 		}
-		if !reflect.DeepEqual(a.PerCPU, s.PerCPU) {
-			t.Errorf("per-CPU counters differ:\nawake    %+v\nsleeping %+v", a.PerCPU, s.PerCPU)
-		}
-		if !reflect.DeepEqual(a.Stats, s.Stats) {
-			for i := range a.Stats.Nodes {
-				if !reflect.DeepEqual(a.Stats.Nodes[i], s.Stats.Nodes[i]) {
-					t.Errorf("node %d stats differ:\nawake    %+v\nsleeping %+v", i, a.Stats.Nodes[i], s.Stats.Nodes[i])
-					break
+		for i := 0; i < procs; i++ {
+			na, ns := ma.Fabric().Node(i), ms.Fabric().Node(i)
+			for lvl, pair := range [][2]any{{*na.L1(), *ns.L1()}, {*na.L2(), *ns.L2()}} {
+				if !reflect.DeepEqual(pair[0], pair[1]) {
+					t.Fatalf("%s: node %d L%d arrays differ (stamps, clock or counters)", name, i, lvl+1)
 				}
 			}
-			t.Errorf("machine stats differ")
-		}
-		t.FailNow()
-	}
-	for i := 0; i < procs; i++ {
-		na, ns := ma.Fabric().Node(i), ms.Fabric().Node(i)
-		for lvl, pair := range [][2]any{{*na.L1(), *ns.L1()}, {*na.L2(), *ns.L2()}} {
-			if !reflect.DeepEqual(pair[0], pair[1]) {
-				t.Fatalf("node %d L%d arrays differ (stamps, clock or counters)", i, lvl+1)
+			ca, cs := ma.CPU(i), ms.CPU(i)
+			if ca.PC() != cs.PC() {
+				t.Fatalf("CPU %d pc: awake %d, %s %d", i, ca.PC(), name, cs.PC())
+			}
+			for r := isa.Reg(0); r < isa.NumRegs; r++ {
+				if ca.Reg(r) != cs.Reg(r) {
+					t.Fatalf("CPU %d r%d: awake %d, %s %d", i, r, ca.Reg(r), name, cs.Reg(r))
+				}
 			}
 		}
-		ca, cs := ma.CPU(i), ms.CPU(i)
-		if ca.PC() != cs.PC() {
-			t.Fatalf("CPU %d pc: awake %d, sleeping %d", i, ca.PC(), cs.PC())
-		}
-		for r := isa.Reg(0); r < isa.NumRegs; r++ {
-			if ca.Reg(r) != cs.Reg(r) {
-				t.Fatalf("CPU %d r%d: awake %d, sleeping %d", i, r, ca.Reg(r), cs.Reg(r))
-			}
-		}
+		fired[i] = ms.Engine().Fired()
 	}
-	if fa, fs := ma.Engine().Fired(), ms.Engine().Fired(); fs > fa {
-		t.Fatalf("sleeping run dispatched %d events, more than the awake run's %d", fs, fa)
+	if fa := ma.Engine().Fired(); fired[0] > fa {
+		t.Fatalf("sleeping run dispatched %d events, more than the awake run's %d", fired[0], fa)
+	}
+	if fired[1] != fired[0] {
+		t.Fatalf("checked run dispatched %d events, the unchecked run %d", fired[1], fired[0])
 	}
 }
 
@@ -142,8 +171,8 @@ func TestSleepingMatchesAwake(t *testing.T) {
 // raytrace at 16 processors (0.70 M events awake, 0.06 M asleep) at least
 // nine in ten events must go undispatched.
 func TestSleepingSkipsTheHerd(t *testing.T) {
-	ma, _ := runCell(t, "raytrace", SysTTS, 16, 4, nil, true)
-	ms, _ := runCell(t, "raytrace", SysTTS, 16, 4, nil, false)
+	ma, _ := runCell(t, "raytrace", SysTTS, 16, 4, nil, awake)
+	ms, _ := runCell(t, "raytrace", SysTTS, 16, 4, nil, asleep)
 	if fa, fs := ma.Engine().Fired(), ms.Engine().Fired(); fs*10 > fa {
 		t.Fatalf("sleeping run dispatched %d of the awake run's %d events; want at most a tenth", fs, fa)
 	}

@@ -167,7 +167,9 @@ func (r resolved) run() (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return runConfigured(r.cfg, bld, r.params, r.name, r.sys.Name, r.cfg.Processors, r.check, r.trace)
+	return runBuild(r.cfg, bld, r.name, r.sys.Name, r.check, r.trace, &r.params, func(peek Peeker) error {
+		return bld.VerifyCounters(r.params, peek)
+	})
 }
 
 // finishTrace completes a traced run: it embeds the metrics snapshot in

@@ -3,13 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"iqolb/internal/check"
 	"iqolb/internal/engine"
-	"iqolb/internal/machine"
-	"iqolb/internal/obs"
 	"iqolb/internal/report"
 	"iqolb/internal/stats"
-	"iqolb/internal/trace"
 	"iqolb/internal/workload"
 )
 
@@ -184,61 +180,6 @@ func sweepPredictor(opt Options, procs, totalCS int) (string, error) {
 			r.Timeouts)
 	}
 	return t.String(), nil
-}
-
-// runConfigured executes a pre-built kernel under an explicit machine
-// configuration (for sweeps that tweak policy knobs directly). With
-// checked set, the run executes under the internal/check invariant
-// monitors, and any violation fails the run. With tr non-nil, the run
-// collects the observability event stream (see TraceOptions).
-func runConfigured(cfg machine.Config, bld *workload.Build, p workload.Params,
-	name, sysName string, procs int, checked bool, tr *TraceOptions) (Result, error) {
-	var rec *trace.Recorder
-	m, err := machine.New(cfg, bld.Program, rec)
-	if err != nil {
-		return Result{}, err
-	}
-	for _, l := range bld.Locks {
-		m.RegisterLockAddr(l)
-	}
-	// A fault plan implies the monitors: an injected fault must be
-	// either survived or reported, never silently absorbed into wrong
-	// measurements.
-	fp := cfg.Faults
-	checked = checked || fp != nil
-	var mon *check.Monitor
-	if checked {
-		mon = check.AttachToMachine(m, monitorConfig(m, fp))
-	}
-	var log *obs.Log
-	if tr != nil {
-		log = obs.Attach(m)
-	}
-	res, err := m.Run()
-	// The monitor halts the machine on a violation, which surfaces from
-	// Run as a deadlock: report the violation, not the symptom.
-	if mon != nil {
-		if cerr := mon.Finish(); cerr != nil {
-			return Result{}, fmt.Errorf("%s: %w", name, cerr)
-		}
-	}
-	if err != nil {
-		return Result{}, fmt.Errorf("%s: %w", name, err)
-	}
-	if res.HitLimit {
-		return Result{}, fmt.Errorf("%s: %w (%d cycles)", name, ErrCycleLimit, cfg.CycleLimit)
-	}
-	if err := bld.VerifyCounters(p, m.Peek); err != nil {
-		return Result{}, fmt.Errorf("%s: %w", name, err)
-	}
-	out := summarize(sysName, name, procs, res)
-	if fp != nil {
-		fillFaultOutcome(m, &p, &out)
-	}
-	if err := finishTrace(log, tr, &out); err != nil {
-		return Result{}, fmt.Errorf("%s: %w", name, err)
-	}
-	return out, nil
 }
 
 // sweepGeneralized evaluates the §6 Generalized IQOLB extension on a

@@ -10,6 +10,7 @@ import (
 	"iqolb/internal/isa"
 	"iqolb/internal/proc"
 	"iqolb/internal/stats"
+	"iqolb/internal/trace"
 )
 
 func cfg(n int, mode core.Mode) Config {
@@ -340,22 +341,21 @@ func TestSleepingSpinCostsNothing(t *testing.T) {
 		src  string
 	}{{"tts", core.ModeBaseline, tts}, {"iqolb-tearoff", core.ModeIQOLB, iqolb}} {
 		t.Run(tc.name, func(t *testing.T) {
-			start := func(awake bool) *Machine {
+			// A recorder of every line sees every spin, so the awake
+			// reference never sleeps.
+			start := func(rec *trace.Recorder) *Machine {
 				c := cfg(2, tc.mode)
 				c.Core.LockTimeout = 10_000_000 // P0 keeps the lock for the whole test
-				m, err := New(c, isa.MustAssemble(tc.src), nil)
+				m, err := New(c, isa.MustAssemble(tc.src), rec)
 				if err != nil {
 					t.Fatal(err)
-				}
-				if awake {
-					m.eng.AddAfterStep(func(engine.Time) {})
 				}
 				for _, c := range m.cpus {
 					c.Start()
 				}
 				return m
 			}
-			m := start(false)
+			m := start(nil)
 			end := engine.Time(10_000) // warm: P1 spins
 			m.eng.Run(end)
 			fired := m.eng.Fired()
@@ -369,7 +369,7 @@ func TestSleepingSpinCostsNothing(t *testing.T) {
 			if got := m.eng.Fired() - fired; got != 0 {
 				t.Fatalf("a sleeping spin dispatched %d events over %d cycles, want 0", got, end-10_000)
 			}
-			ref := start(true)
+			ref := start(trace.NewRecorderAll())
 			ref.eng.Run(end)
 			m.fabric.Settle()
 			if m.CPU(0).Halted() || ref.CPU(0).Halted() {

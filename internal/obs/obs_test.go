@@ -309,7 +309,7 @@ func TestNoPerturbation(t *testing.T) {
 // TestNoPerturbationAttachOrder puts the invariant monitor and the trace
 // collector on one machine in both attach orders. Observers add themselves
 // alongside whatever is already attached, so either order must collect the
-// same events, scan the same steps, reach the same verdict and leave the
+// same events, check the same lines, reach the same verdict and leave the
 // run's cycle count alone.
 func TestNoPerturbationAttachOrder(t *testing.T) {
 	_, bare, err := tracedRun("raytrace", "iqolb", 8, 8, false)
@@ -341,7 +341,7 @@ func TestNoPerturbationAttachOrder(t *testing.T) {
 		if err := mon.Finish(); err != nil {
 			t.Errorf("obs first=%v: monitor verdict: %v", obsFirst, err)
 		}
-		return outcome{log.Len(), mon.Events(), res.Cycles}
+		return outcome{log.Len(), mon.Checks(), res.Cycles}
 	}
 	obsFirst, checkFirst := run(true), run(false)
 	if obsFirst != checkFirst {

@@ -415,12 +415,13 @@ func (c *CPU) complete(res mem.Result) {
 }
 
 // sleep parks the CPU at a spin fixed point instead of scheduling its next
-// step, if its port can watch the load's line and nothing observes single
-// events. The engine passes the slots of the steps and completions the
-// CPU would have dispatched, in their exact places; the watch's wake
-// charges them, and the next slot then dispatches for real.
+// step, if its port can watch the load's line (the watch refuses a line a
+// trace recorder wants, since a recorder sees every spin). The engine
+// passes the slots of the steps and completions the CPU would have
+// dispatched, in their exact places; the watch's wake charges them, and
+// the next slot then dispatches for real.
 func (c *CPU) sleep(in *isa.Instr, v uint64, now engine.Time) bool {
-	if c.watcher == nil || c.eng.Observed() {
+	if c.watcher == nil {
 		return false
 	}
 	kind := mem.Load

@@ -30,7 +30,7 @@ var updateSim = flag.Bool("update", false, "rewrite the simulator goldens under 
 //	figureN_columns.txt        seqtrace -figure N -columns
 //	raytrace_iqolb_p8.sha256   SHA-256 of report trace -bench raytrace -system iqolb -p 8
 func TestSimulatedOutputsGolden(t *testing.T) {
-	opt := iqolb.Options{Jobs: 2}
+	opt := iqolb.Options{Jobs: 2, Check: true}
 	outputs := []struct {
 		name  string
 		quick bool
