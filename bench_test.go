@@ -272,7 +272,7 @@ func BenchmarkFetchAddThroughput(b *testing.B) {
 // each hook reduces to ranging over nothing — and must stay within ~2% of
 // pre-observability throughput. "enabled" attaches the full collector
 // (lock lifecycle, delays, tear-offs, bus occupancy, barriers) and builds
-// the metrics snapshot. BENCH_obs.json tracks measured numbers; the
+// the metrics snapshot. EXPERIMENTS.md records measured numbers; the
 // sim-cycle side of the contract (instrumented runs are cycle-identical)
 // is pinned by TestNoPerturbation in internal/obs.
 func BenchmarkObsOverhead(b *testing.B) {

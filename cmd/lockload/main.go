@@ -21,15 +21,6 @@
 // must match the best static policy in every phase by live-migrating
 // the hot shards. The artifact defaults to BENCH_adaptive.json.
 //
-// With -throughput the run is the open-loop pipelined sweep instead:
-// every client count × -windows × -flush-delays cell hammers
-// acquire/release pairs with no think time, the (window=1, flush=0)
-// cell being the one-in-flight baseline the other rows' speedups are
-// computed against. The artifact defaults to BENCH_throughput.json and
-// shows what coalescing buys at each window; a flush delay is the upper
-// bound on a hold that ends when the connection goes quiet, so a window
-// of 1 pays a hand-off for it, not the delay.
-//
 // With -chaos the run is the network-fault campaign instead: every
 // fault kind in -chaos-kinds crossed with every seed in -chaos-seeds,
 // each run squeezing real resilient clients through a deterministic
@@ -74,11 +65,6 @@ func main() {
 		chaosKinds = flag.String("chaos-kinds", "all", `comma-separated fault kinds for -chaos ("all" = every kind; a "none" control row always runs)`)
 		chaosSeeds = flag.String("chaos-seeds", "1,2,3,4,5,6,7,8", "comma-separated seeds for -chaos")
 		chaosWin   = flag.Int("chaos-window", 1, "pipelining window for -chaos clients (1 = lock-step)")
-		tput       = flag.Bool("throughput", false, "run the open-loop pipelined throughput sweep instead of a benchmark")
-		windows    = flag.String("windows", "1,4,16,64", "comma-separated per-connection in-flight windows for -throughput (1 = lock-step baseline)")
-		flushList  = flag.String("flush-delays", "0s,50us,200us", "comma-separated write-coalescing flush delays for -throughput: each is the upper bound on a hold that ends when the connection goes quiet (0s = write through)")
-		opsPer     = flag.Int("ops", 2000, "acquire+release pairs per connection for -throughput")
-		resources  = flag.Int("resources", 0, "shared resource pool for -throughput (0 = a private resource per worker: pure wire-path measurement)")
 		out        = flag.String("o", "", `artifact path (default BENCH_service.json, BENCH_adaptive.json with -phases, or BENCH_chaos.json with -chaos; "none" disables)`)
 		jsonOut    = flag.Bool("json", false, "print the JSON artifact on stdout instead of the table")
 	)
@@ -94,8 +80,6 @@ func main() {
 			outPath = "BENCH_adaptive.json"
 		case *chaos:
 			outPath = "BENCH_chaos.json"
-		case *tput:
-			outPath = "BENCH_throughput.json"
 		default:
 			outPath = "BENCH_service.json"
 		}
@@ -105,11 +89,6 @@ func main() {
 
 	if *chaos {
 		runChaos(*chaosKinds, *chaosSeeds, *chaosWin, outPath, *jsonOut)
-		return
-	}
-
-	if *tput {
-		runThroughput(*clientList, *windows, *flushList, *opsPer, *resources, *shards, *queue, *seed, *lockKind, *addr, *ttl, outPath, *jsonOut)
 		return
 	}
 
@@ -150,51 +129,6 @@ func main() {
 
 	emit(outPath, *jsonOut, fmt.Sprintf("%d results", len(results)), loadgen.NewFile(results).WriteJSON,
 		func() string { return loadgen.Render(results) })
-}
-
-// runThroughput executes the open-loop pipelined sweep: every client
-// count × window × flush delay, with the (window=1, flush=0) row as
-// the one-in-flight baseline each row's speedup is computed against.
-func runThroughput(clientList, windowList, flushListFlag string, opsPer, resources, shards, queue int, seed uint64, lockKind, addr string, ttl time.Duration, outPath string, jsonOut bool) {
-	clients, err := cliconfig.PositiveInts(clientList, "client count")
-	usage(err)
-	wins, err := cliconfig.PositiveInts(windowList, "window")
-	usage(err)
-	delays, err := cliconfig.Durations(flushListFlag, "flush delay")
-	usage(err)
-	kind, err := locks.ParseKind(lockKind)
-	usage(err)
-
-	var results []loadgen.ThroughputResult
-	for _, n := range clients {
-		for _, w := range wins {
-			for _, d := range delays {
-				res, err := loadgen.RunThroughput(loadgen.ThroughputConfig{
-					Clients:      n,
-					Window:       w,
-					FlushDelay:   d,
-					OpsPerClient: opsPer,
-					Resources:    resources,
-					Seed:         seed,
-					Addr:         addr,
-					Shards:       shards,
-					Lock:         kind,
-					QueueDepth:   queue,
-					TTL:          ttl,
-				})
-				if err != nil {
-					fail(err)
-				}
-				fmt.Fprintf(os.Stderr, "lockload: throughput clients=%d window=%-3d flush=%-6s %10.0f ops/s\n", n, w, d, res.Throughput)
-				results = append(results, res)
-			}
-		}
-	}
-
-	// NewThroughputFile fills in the speedup column the table shows.
-	file := loadgen.NewThroughputFile(results)
-	emit(outPath, jsonOut, fmt.Sprintf("%d throughput runs", len(results)), file.WriteJSON,
-		func() string { return loadgen.RenderThroughput(file.Results) })
 }
 
 // runChaos executes the network-fault campaign: (control + each kind)

@@ -12,14 +12,13 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
 	"iqolb/internal/service"
 	"iqolb/locks"
 )
 
 // PositiveInts parses a comma-separated list of positive integers
-// (client counts, pipelining windows, chaos seeds). what names the
+// (client counts, chaos seeds). what names the
 // quantity in errors.
 func PositiveInts(s, what string) ([]int, error) {
 	var out []int
@@ -29,20 +28,6 @@ func PositiveInts(s, what string) ([]int, error) {
 			return nil, fmt.Errorf("bad %s %q", what, f)
 		}
 		out = append(out, n)
-	}
-	return out, nil
-}
-
-// Durations parses a comma-separated list of non-negative Go durations
-// (flush-delay sweeps). what names the quantity in errors.
-func Durations(s, what string) ([]time.Duration, error) {
-	var out []time.Duration
-	for _, f := range strings.Split(s, ",") {
-		d, err := time.ParseDuration(strings.TrimSpace(f))
-		if err != nil || d < 0 {
-			return nil, fmt.Errorf("bad %s %q", what, f)
-		}
-		out = append(out, d)
 	}
 	return out, nil
 }

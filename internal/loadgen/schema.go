@@ -18,7 +18,7 @@ import (
 const SchemaVersion = 1
 
 // Header opens every loadgen artifact (BENCH_service.json,
-// BENCH_throughput.json, BENCH_adaptive.json).
+// BENCH_adaptive.json).
 type Header struct {
 	SchemaVersion int    `json:"schema_version"`
 	GoVersion     string `json:"go_version"`

@@ -10,7 +10,7 @@ import (
 )
 
 // startServerOpts spins an in-process server with explicit options.
-func startServerOpts(t *testing.T, mut func(*Config), opt ServerOptions) (*Server, string) {
+func startServerOpts(t testing.TB, mut func(*Config), opt ServerOptions) (*Server, string) {
 	t.Helper()
 	cfg := Config{Shards: 2, QueueDepth: 16, DefaultTTL: 30 * time.Second}
 	if mut != nil {
