@@ -26,13 +26,16 @@ import (
 // (never interleaved). Buffered bytes are flushed by Close, so a frame
 // accepted before Close is never dropped by the coalescer itself.
 //
-// Memory stays bounded without an explicit cap because every producer
-// is window-limited: a server connection has at most `window` worker
-// frames outstanding and a client at most `window` requests, so the
-// pending buffer tops out near window × max frame size.
+// The threshold and the delay are checked between yields, so a batch
+// can overrun either by whatever the producers append during the one
+// yield that crosses it. Memory stays bounded without an explicit cap
+// because every producer is window-limited: a server connection has at
+// most `window` worker frames outstanding and a client at most `window`
+// requests, so the pending buffer tops out near window × max frame size.
 type flushWriter struct {
 	w     io.Writer
 	delay time.Duration
+	yield func() // runtime.Gosched; tests stand in their own producers
 
 	mu     sync.Mutex
 	buf    []byte // frames accepted since the last flush
@@ -57,6 +60,7 @@ func newFlushWriter(w io.Writer, delay time.Duration) *flushWriter {
 	fw := &flushWriter{
 		w:     w,
 		delay: delay,
+		yield: runtime.Gosched,
 		buf:   make([]byte, 0, 2048),
 		spare: make([]byte, 0, 2048),
 		kick:  make(chan struct{}, 1),
@@ -130,7 +134,7 @@ func (fw *flushWriter) hold() {
 	start := time.Now()
 	seen := fw.pending()
 	for {
-		runtime.Gosched()
+		fw.yield()
 		n := fw.pending()
 		if n == seen || n >= coalesceThreshold || time.Since(start) >= fw.delay {
 			return

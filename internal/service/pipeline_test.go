@@ -403,63 +403,59 @@ func TestFlushWriterBatchesRunnableProducers(t *testing.T) {
 	}
 }
 
-// TestFlushWriterHoldBounds: a producer that appends on every yield of
-// the flusher never lets the connection go quiet, so the hold has to end
-// on one of its two bounds. On one P producer and flusher alternate
-// strictly (both yield to the same queue), which makes "every yield"
-// exact.
+// TestFlushWriterHoldBounds: each of the hold's three end conditions,
+// made exact by standing in for the scheduler — every yield of the
+// flusher runs the test's producer, so what each yield appends is known.
 func TestFlushWriterHoldBounds(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	// firstWrite runs the relentless producer until a Write arrives and
-	// returns that Write and how long after the first frame it came.
-	firstWrite := func(t *testing.T, delay time.Duration, frame []byte) ([]byte, time.Duration) {
+	// firstWrite starts a hold with a one-byte frame, runs produce on
+	// every yield, and returns the hold's Write and how long after the
+	// first frame it came.
+	firstWrite := func(t *testing.T, delay time.Duration, produce func(fw *flushWriter)) ([]byte, time.Duration) {
 		rec := newWriteRecorder()
 		fw := newFlushWriter(rec, delay)
-		stop := make(chan struct{})
-		done := make(chan struct{})
+		fw.yield = func() { produce(fw) } // read by the flusher only after the first kick
 		start := time.Now()
-		go func() {
-			defer close(done)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if err := fw.WriteFrame(frame); err != nil {
-					t.Error(err)
-					return
-				}
-				runtime.Gosched()
-			}
-		}()
+		if err := fw.WriteFrame([]byte{1}); err != nil {
+			t.Fatal(err)
+		}
 		rec.awaitWrite(t)
 		held := time.Since(start)
-		close(stop)
-		<-done
 		if err := fw.Close(); err != nil {
 			t.Fatal(err)
 		}
 		return rec.snapshot()[0], held
 	}
-
-	t.Run("delay", func(t *testing.T) {
-		// One-byte frames: 8 KiB of them take thousands of yields, far
-		// longer than this delay, so only the delay can end the hold.
-		const delay = 200 * time.Microsecond
-		w, held := firstWrite(t, delay, []byte{1})
-		if len(w) >= coalesceThreshold {
-			t.Fatalf("hold ran to the %d-byte threshold (%d bytes) past a %v delay", coalesceThreshold, len(w), delay)
+	appendFrame := func(t *testing.T, frame []byte) func(*flushWriter) {
+		return func(fw *flushWriter) {
+			if err := fw.WriteFrame(frame); err != nil {
+				t.Error(err)
+			}
 		}
-		if held < delay {
-			t.Fatalf("hold ended after %v with the producer still appending, before the %v delay", held, delay)
+	}
+
+	t.Run("quiescence", func(t *testing.T) {
+		if w, _ := firstWrite(t, farOff, func(*flushWriter) {}); len(w) != 1 {
+			t.Fatalf("first write of %d bytes, want the lone frame after one quiet yield", len(w))
+		}
+	})
+	t.Run("delay", func(t *testing.T) {
+		// A byte every 10 µs never lets the connection go quiet and
+		// stays far below the threshold, so only the delay ends the hold.
+		const delay = 200 * time.Microsecond
+		tick := appendFrame(t, []byte{1})
+		w, held := firstWrite(t, delay, func(fw *flushWriter) {
+			time.Sleep(10 * time.Microsecond)
+			tick(fw)
+		})
+		if held < delay || len(w) >= coalesceThreshold {
+			t.Fatalf("hold ended after %v with %d bytes, want the %v delay to end it", held, len(w), delay)
 		}
 	})
 	t.Run("threshold", func(t *testing.T) {
-		frame := make([]byte, 1<<10)
-		w, _ := firstWrite(t, farOff, frame)
-		if len(w) < coalesceThreshold || len(w) >= coalesceThreshold+len(frame) {
-			t.Fatalf("first write of %d bytes, want the first batch to reach %d", len(w), coalesceThreshold)
+		w, _ := firstWrite(t, farOff, appendFrame(t, make([]byte, 1<<10)))
+		if len(w) != 1+coalesceThreshold {
+			t.Fatalf("first write of %d bytes, want the yield that reached %d bytes to end the batch at %d",
+				len(w), coalesceThreshold, 1+coalesceThreshold)
 		}
 	})
 }

@@ -18,9 +18,9 @@
 //     case, falling back to an MCS-style queue in which only the queue
 //     head competes for the lock word.
 //
-// Primitives are built through a named registry: locks.New(kind, opts...)
-// constructs any registered kind, locks.Kinds() enumerates them in
-// registration order, and locks.Register adds new ones (see registry.go).
+// Primitives are built by name from a fixed table: locks.New(kind,
+// opts...) constructs any of the five kinds and locks.Kinds() enumerates
+// them in the canonical report order (see registry.go).
 //
 // Every lock takes optional instrumentation hooks feeding internal/stats
 // histograms, and optional *Tuning — the inserted-delay parameters
@@ -44,13 +44,13 @@ import (
 // FIFO order and may spin — they are built for short critical sections
 // under contention, matching the simulated workloads.
 type Lock interface {
-	// Name returns the primitive's registry name (see Kinds).
+	// Name returns the primitive's kind name (see Kinds).
 	Name() string
 	Lock()
 	Unlock()
 }
 
-// Kind names a lock primitive in the registry.
+// Kind names a lock primitive.
 type Kind string
 
 // The built-in primitives, in the canonical (report) order.

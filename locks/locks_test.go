@@ -80,7 +80,7 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
-// mustNew builds a registered kind or fails the test.
+// mustNew builds a lock of kind k or fails the test.
 func mustNew(t *testing.T, k Kind, opts ...Option) Lock {
 	t.Helper()
 	l, err := New(k, opts...)
@@ -88,38 +88,6 @@ func mustNew(t *testing.T, k Kind, opts ...Option) Lock {
 		t.Fatal(err)
 	}
 	return l
-}
-
-// TestRegisterCustomKind exercises the open half of the registry: a
-// registered kind constructs through New, enumerates through Kinds, and
-// duplicate registration panics.
-func TestRegisterCustomKind(t *testing.T) {
-	const kind = Kind("test-custom")
-	// The factory outlives this test in the registry, so it must not
-	// capture t.
-	viaTTS := func(opts ...Option) Lock { l, _ := New(KindTTS, opts...); return l }
-	Register(kind, viaTTS)
-	l, err := New(kind)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Lock()
-	l.Unlock()
-	found := false
-	for _, k := range Kinds() {
-		if k == kind {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("Kinds() does not list registered kind %q", kind)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate Register did not panic")
-		}
-	}()
-	Register(kind, viaTTS)
 }
 
 // TestTuningOnline verifies that a Tuning store is observed by later

@@ -2,74 +2,54 @@ package locks
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 )
 
-// Factory builds one lock of a registered kind.
-type Factory func(opts ...Option) Lock
-
-// registry is the named-kind table behind New/Kinds/ParseKind. The
-// built-ins register in canonical (report) order below; external kinds
-// append in registration order.
-var registry = struct {
-	mu    sync.RWMutex
-	order []Kind
-	fac   map[Kind]Factory
-}{fac: make(map[Kind]Factory)}
-
-// Register adds a lock kind to the registry. It panics on an empty name
-// or a duplicate registration — both are programming errors, caught at
-// init time like (text/template).Must.
-func Register(k Kind, f Factory) {
-	if k == "" || f == nil {
-		panic("locks: Register with empty kind or nil factory")
-	}
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	if _, dup := registry.fac[k]; dup {
-		panic(fmt.Sprintf("locks: Register called twice for kind %q", k))
-	}
-	registry.fac[k] = f
-	registry.order = append(registry.order, k)
+// kinds is the fixed table behind New/Kinds/ParseKind, in canonical
+// (report) order.
+var kinds = [...]struct {
+	kind  Kind
+	build func(config) Lock
+}{
+	{KindTTS, func(c config) Lock { return newTTS(c) }},
+	{KindTicket, func(c config) Lock { return newTicket(c) }},
+	{KindMCS, func(c config) Lock { return newMCS(c) }},
+	{KindCLH, func(c config) Lock { return newCLH(c) }},
+	{KindAdaptive, func(c config) Lock { return newAdaptive(c) }},
 }
 
-// Kinds lists every registered primitive in registration order (the
-// built-ins come first, in the canonical report order) — CLI enumeration
-// and report rows.
+// Kinds lists every primitive in the canonical report order — CLI
+// enumeration and report rows.
 func Kinds() []Kind {
-	registry.mu.RLock()
-	defer registry.mu.RUnlock()
-	out := make([]Kind, len(registry.order))
-	copy(out, registry.order)
+	out := make([]Kind, len(kinds))
+	for i, k := range kinds {
+		out[i] = k.kind
+	}
 	return out
 }
 
-// New builds a lock of the given kind via its registered factory.
+// New builds a lock of the given kind.
 func New(k Kind, opts ...Option) (Lock, error) {
-	registry.mu.RLock()
-	f := registry.fac[k]
-	registry.mu.RUnlock()
-	if f == nil {
-		return nil, &UnknownKindError{Kind: k, Known: Kinds()}
+	for _, e := range kinds {
+		if e.kind == k {
+			return e.build(buildConfig(opts)), nil
+		}
 	}
-	return f(opts...), nil
+	return nil, &UnknownKindError{Kind: k, Known: Kinds()}
 }
 
-// ParseKind resolves a kind name, validating it against the registry.
+// ParseKind resolves a kind name, validating it against the table.
 func ParseKind(s string) (Kind, error) {
 	k := Kind(s)
-	registry.mu.RLock()
-	_, ok := registry.fac[k]
-	registry.mu.RUnlock()
-	if !ok {
+	if !slices.Contains(Kinds(), k) {
 		return "", &UnknownKindError{Kind: k, Known: Kinds()}
 	}
 	return k, nil
 }
 
-// UnknownKindError reports a kind name absent from the registry.
+// UnknownKindError reports a kind name absent from the table.
 type UnknownKindError struct {
 	Kind  Kind
 	Known []Kind
@@ -82,13 +62,4 @@ func (e *UnknownKindError) Error() string {
 	}
 	sort.Strings(names)
 	return fmt.Sprintf("locks: unknown kind %q (have %s)", string(e.Kind), strings.Join(names, " "))
-}
-
-// The built-in primitives, registered in canonical order.
-func init() {
-	Register(KindTTS, func(opts ...Option) Lock { return newTTS(buildConfig(opts)) })
-	Register(KindTicket, func(opts ...Option) Lock { return newTicket(buildConfig(opts)) })
-	Register(KindMCS, func(opts ...Option) Lock { return newMCS(buildConfig(opts)) })
-	Register(KindCLH, func(opts ...Option) Lock { return newCLH(buildConfig(opts)) })
-	Register(KindAdaptive, func(opts ...Option) Lock { return newAdaptive(buildConfig(opts)) })
 }
