@@ -18,9 +18,9 @@ import (
 // runHistory executes one randomized concurrent run against a
 // single-shard service and returns the recorded history. Leases use a
 // long TTL so expiry never interferes; expiry has its own scenario.
-// during, when non-nil, runs alongside the clients (the migration
-// suite's migrator).
-func runHistory(t *testing.T, kind locks.Kind, seed int64, mut func(*Config), during func(*Service)) []linearize.Op {
+// hooks seeds the shard core's grant bugs; during, when non-nil, runs
+// alongside the clients (the migration suite's migrator).
+func runHistory(t *testing.T, kind locks.Kind, seed int64, mut func(*Config), hooks coreHooks, during func(*Service)) []linearize.Op {
 	t.Helper()
 	rec := &History{}
 	cfg := Config{
@@ -39,6 +39,7 @@ func runHistory(t *testing.T, kind locks.Kind, seed int64, mut func(*Config), du
 		t.Fatal(err)
 	}
 	defer s.Close()
+	s.shards[0].core.hooks = hooks
 
 	const clients = 3
 	const opsPerClient = 6
@@ -135,7 +136,7 @@ func TestLinearizability(t *testing.T) {
 			t.Parallel()
 			for i := 0; i < histories; i++ {
 				seed := int64(i) + 1
-				h := runHistory(t, kind, seed, nil, nil)
+				h := runHistory(t, kind, seed, nil, coreHooks{}, nil)
 				if ok, why := linearize.Check(LeaseModel{}, h); !ok {
 					t.Fatalf("seed %d: history not linearizable:\n%s\nhistory:\n%s", seed, why, dumpHistory(h))
 				}
@@ -150,7 +151,7 @@ func TestLinearizabilityBroadcast(t *testing.T) {
 	const histories = 100
 	for i := 0; i < histories; i++ {
 		seed := int64(i) + 10_000
-		h := runHistory(t, locks.KindMCS, seed, func(c *Config) { c.Policy = PolicyBroadcast }, nil)
+		h := runHistory(t, locks.KindMCS, seed, func(c *Config) { c.Policy = PolicyBroadcast }, coreHooks{}, nil)
 		if ok, why := linearize.Check(LeaseModel{}, h); !ok {
 			t.Fatalf("seed %d: broadcast history not linearizable:\n%s\nhistory:\n%s", seed, why, dumpHistory(h))
 		}
@@ -166,7 +167,7 @@ func TestLinearizabilityCatchesBrokenHandoff(t *testing.T) {
 	const attempts = 50
 	for i := 0; i < attempts; i++ {
 		seed := int64(i) + 20_000
-		h := runHistory(t, locks.KindMCS, seed, func(c *Config) { c.brokenHandoff = true }, nil)
+		h := runHistory(t, locks.KindMCS, seed, nil, coreHooks{brokenHandoff: true}, nil)
 		if ok, _ := linearize.Check(LeaseModel{}, h); !ok {
 			return // caught, as required
 		}

@@ -1,6 +1,8 @@
 package service
 
 import (
+	"time"
+
 	"iqolb/internal/adaptive"
 )
 
@@ -10,8 +12,8 @@ import (
 // controller as an adaptive.Plant.
 //
 // The safety argument is an epoch fence, shard-local: every grant
-// decision — immediate grant, hand-off, broadcast wake, flush — runs
-// under the shard guard, and the policy flip runs under the same guard.
+// decision — immediate grant, hand-off, broadcast wake, flush — is a
+// core verb run under the shard guard, and so is the policy flip.
 // So the flip has a precise place in the shard's serialization order:
 // every grant before it fully completed under the old discipline, every
 // grant after it runs under the new one, and no lease can be dropped or
@@ -27,48 +29,10 @@ import (
 // Migrating a degraded shard only records the policy it will resume
 // with on restore. Migrating to the current policy is a no-op.
 func (s *Service) MigrateShard(shard int, p Policy) error {
-	sh, err := s.shardAt(shard)
-	if err != nil {
-		return err
-	}
 	if p != PolicyHandoff && p != PolicyBroadcast {
 		return configErr("policy", "cannot migrate to %q (have handoff, broadcast)", p)
 	}
-	now := sh.enter() // drains due work under the old policy
-	defer sh.leave()
-	if sh.policy == p {
-		return nil
-	}
-	sh.policy = p
-	sh.epoch++
-	sh.armedAt = now
-	sh.counters.Migrations++
-	if sh.degraded {
-		return nil // nobody is queued, and nobody will be until restore
-	}
-	if p == PolicyHandoff {
-		// Waiters queued under broadcast may hold an unconsumed retry
-		// wake-up in their grant buffer. Hand-off delivery assumes that
-		// buffer slot is free — drain it now, under the guard, so no
-		// future grant can block behind a stale retry.
-		for _, r := range sh.res {
-			for _, w := range r.q {
-				select {
-				case <-w.grant:
-				default:
-				}
-			}
-		}
-	}
-	// Re-dispatch: a free resource with a queue must not stay idle
-	// across the flip (its wake-ups may have been consumed under the
-	// old discipline and lost their race).
-	for _, r := range sh.res {
-		if r.holder == nil && len(r.q) > 0 {
-			sh.grantNextLocked(r, now)
-		}
-	}
-	return nil
+	return s.onShard(shard, func(c *core, now time.Time) { c.migrate(now, p) })
 }
 
 // DegradeShard administratively puts one shard into shed-load mode,
@@ -76,14 +40,7 @@ func (s *Service) MigrateShard(shard int, p Policy) error {
 // with ErrDegraded and new waiters are shed. A degraded shard stays
 // degraded until RestoreShard.
 func (s *Service) DegradeShard(shard int, reason string) error {
-	sh, err := s.shardAt(shard)
-	if err != nil {
-		return err
-	}
-	sh.enter()
-	sh.degradeLocked(reason)
-	sh.leave()
-	return nil
+	return s.onShard(shard, func(c *core, now time.Time) { c.degrade(now, reason) })
 }
 
 // RestoreShard returns a degraded shard to queueing service under its
@@ -91,19 +48,7 @@ func (s *Service) DegradeShard(shard int, reason string) error {
 // shard guard like every grant decision, so it has a place in the
 // shard's serialization order. Restoring a healthy shard is a no-op.
 func (s *Service) RestoreShard(shard int) error {
-	sh, err := s.shardAt(shard)
-	if err != nil {
-		return err
-	}
-	now := sh.enter()
-	if sh.degraded {
-		sh.degraded, sh.degradeReason = false, ""
-		sh.epoch++
-		sh.armedAt = now
-		sh.counters.Restores++
-	}
-	sh.leave()
-	return nil
+	return s.onShard(shard, func(c *core, now time.Time) { c.restore(now) })
 }
 
 // plantAdapter exposes the service's shards as an adaptive.Plant. It
@@ -120,15 +65,16 @@ func (p plantAdapter) SampleShard(i int) adaptive.Sample {
 	sh := p.s.shards[i]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	c := &sh.core
 	smp := adaptive.Sample{
-		Acquires:       sh.counters.Acquires,
-		Grants:         sh.counters.Grants,
-		QueueFullSheds: sh.counters.QueueFullSheds,
-		DegradedSheds:  sh.counters.DegradedSheds,
-		Queued:         sh.queued,
-		Policy:         adaptive.Policy(sh.policy),
+		Acquires:       c.counters.Acquires,
+		Grants:         c.counters.Grants,
+		QueueFullSheds: c.counters.QueueFullSheds,
+		DegradedSheds:  c.counters.DegradedSheds,
+		Queued:         c.queued,
+		Policy:         adaptive.Policy(c.policy),
 	}
-	if sh.degraded {
+	if c.degraded {
 		smp.Policy = adaptive.PolicyDegraded
 	}
 	return smp

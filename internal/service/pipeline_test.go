@@ -186,6 +186,8 @@ func TestPipelinedOpTimeout(t *testing.T) {
 	if !isTransport(err) {
 		t.Fatalf("pipelined timeout not transport-class: %v", err)
 	}
+	// 40× the op timeout: this catches a timeout that never fires, and a
+	// slow host cannot reach it.
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("timeout took %v", elapsed)
 	}
@@ -245,7 +247,10 @@ func (b *countingBackend) Acquire(resource, owner string, opt AcquireOptions) (L
 			break
 		}
 	}
-	time.Sleep(2 * time.Millisecond) // hold the slot so overlap is observable
+	// Hold the slot so overlap is observable. The test asserts an upper
+	// bound (peak ≤ window), so a host that never overlaps the calls only
+	// weakens it; it cannot fail it.
+	time.Sleep(2 * time.Millisecond)
 	b.inFlight.Add(-1)
 	return Lease{Resource: resource, Owner: owner, Token: 1, Fence: 1, Deadline: time.Now().Add(time.Second)}, nil
 }
@@ -291,7 +296,9 @@ func TestResilientPipelined(t *testing.T) {
 		}(w)
 	}
 	// Yank every live server-side connection partway through; the
-	// resilient layer must redial (pipelined again) and finish.
+	// resilient layer must redial (pipelined again) and finish. The sleep
+	// only places the yank: early, late or mid-batch, every op must still
+	// complete, so no interleaving fails the test.
 	time.Sleep(20 * time.Millisecond)
 	srv.mu.Lock()
 	for conn := range srv.conns {

@@ -34,6 +34,8 @@ func TestResilientGiveUpTyped(t *testing.T) {
 	if !Retryable(err) {
 		t.Fatalf("give-up error lost its retryable cause: %v", err)
 	}
+	// Three attempts of at most 100 ms each plus ≤ 2 ms backoffs: the 5 s
+	// bound catches a retry loop that never gives up, not a slow host.
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("give-up took %v", elapsed)
 	}

@@ -74,11 +74,31 @@ func TestServerRoundTrip(t *testing.T) {
 	}
 }
 
+// waitAllQueued waits, bounded, until n waiters are queued across the
+// service's shards, so a test named for the queued path provably takes
+// it however late the waiters' goroutines are scheduled.
+func waitAllQueued(t *testing.T, b Backend, n int) {
+	s := b.(*Service)
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		q := 0
+		for _, sh := range s.Snapshot().Shards {
+			q += sh.Queued
+		}
+		if q >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d waiters queued", q, n)
+		}
+	}
+}
+
 // TestServerHandoffOverWire runs a contended acquire across
 // connections: the waiter blocks on its connection until the holder's
 // release hands the lease over.
 func TestServerHandoffOverWire(t *testing.T) {
-	_, addr := startServer(t, nil)
+	srv, addr := startServer(t, nil)
 	holder, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +129,7 @@ func TestServerHandoffOverWire(t *testing.T) {
 			errs <- c.Release("r", wl.Token)
 		}(i)
 	}
-	time.Sleep(10 * time.Millisecond) // let the waiters queue
+	waitAllQueued(t, srv.svc, waiters)
 	if err := holder.Release("r", l.Token); err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +217,7 @@ func TestServerCloseUnblocksWaiters(t *testing.T) {
 		_, err = c.Acquire("r", "w", AcquireOptions{Wait: true})
 		waiterDone <- err
 	}()
-	time.Sleep(10 * time.Millisecond)
+	waitAllQueued(t, srv.svc, 1)
 	// Service close flushes the waiter with ErrClosed; the server relays
 	// it (or the socket drops — both unblock).
 	srv.svc.Close()

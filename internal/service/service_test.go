@@ -141,7 +141,7 @@ func waitQueued(t *testing.T, s *Service, res string, n int) {
 	for {
 		sh.mu.Lock()
 		q := 0
-		if r := sh.res[res]; r != nil {
+		if r := sh.core.res[res]; r != nil {
 			q = len(r.q)
 		}
 		sh.mu.Unlock()
@@ -588,7 +588,7 @@ func TestExpiryHeapHoldsLiveLeasesOnly(t *testing.T) {
 	heapLen := func() int {
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
-		return len(sh.heap)
+		return len(sh.core.heap)
 	}
 	// Survivors, granted out of deadline order.
 	for _, res := range []string{"s3", "s1", "s2"} {

@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"reflect"
 
 	"iqolb/internal/adaptive"
 	"iqolb/internal/stats"
@@ -60,27 +61,10 @@ type Counters struct {
 
 // add accumulates o into c (for the snapshot totals row).
 func (c *Counters) add(o Counters) {
-	c.Acquires += o.Acquires
-	c.Grants += o.Grants
-	c.ImmediateGrants += o.ImmediateGrants
-	c.Handoffs += o.Handoffs
-	c.BroadcastWakeups += o.BroadcastWakeups
-	c.BroadcastClaims += o.BroadcastClaims
-	c.WastedWakeups += o.WastedWakeups
-	c.QueueFullSheds += o.QueueFullSheds
-	c.DegradedSheds += o.DegradedSheds
-	c.NoWaitBusy += o.NoWaitBusy
-	c.Timeouts += o.Timeouts
-	c.Releases += o.Releases
-	c.BadReleases += o.BadReleases
-	c.Expiries += o.Expiries
-	c.Revocations += o.Revocations
-	c.Resumes += o.Resumes
-	c.FencedRejects += o.FencedRejects
-	c.Flushed += o.Flushed
-	c.Degrades += o.Degrades
-	c.Migrations += o.Migrations
-	c.Restores += o.Restores
+	sum, more := reflect.ValueOf(c).Elem(), reflect.ValueOf(o)
+	for i := 0; i < sum.NumField(); i++ {
+		sum.Field(i).SetUint(sum.Field(i).Uint() + more.Field(i).Uint())
+	}
 }
 
 // Sheds is the total of both shed classes.
@@ -146,19 +130,20 @@ func (s *Service) Snapshot() *Snapshot {
 	}
 	for i, sh := range s.shards {
 		sh.mu.Lock()
+		c := &sh.core
 		ss := ShardSnapshot{
 			Shard:         i,
 			Lock:          sh.mu.Name(),
-			Policy:        string(sh.policy),
-			Epoch:         sh.epoch,
-			Degraded:      sh.degraded,
-			DegradeReason: sh.degradeReason,
-			Queued:        sh.queued,
-			LiveLeases:    sh.live,
-			Counters:      sh.counters,
+			Policy:        string(c.policy),
+			Epoch:         c.epoch,
+			Degraded:      c.degraded,
+			DegradeReason: c.degradeReason,
+			Queued:        c.queued,
+			LiveLeases:    c.live,
+			Counters:      c.counters,
 		}
-		ss.GrantWaitNS.Merge(&sh.grantWait)
-		ss.HoldNS.Merge(&sh.hold)
+		ss.GrantWaitNS.Merge(&c.grantWait)
+		ss.HoldNS.Merge(&c.hold)
 		sh.mu.Unlock()
 		snap.Shards[i] = ss
 		snap.Totals.add(ss.Counters)
