@@ -199,11 +199,43 @@ func clientID(owner string) int {
 }
 
 func (b *recordingBackend) Acquire(res, owner string, opt service.AcquireOptions) (service.Lease, error) {
-	in := service.LeaseOp{Verb: service.VerbAcquire, Res: res}
-	call := b.rec.Tick()
-	l, err := b.svc.Acquire(res, owner, opt)
-	b.rec.Add(clientID(owner), call, b.rec.Tick(), in, granted(l, err, service.AcquireCode))
+	l, p, err := b.Admit(res, owner, opt)
+	if p != nil {
+		return p.Wait()
+	}
 	return l, err
+}
+
+// Admit records a decided acquire at once and a queued one when its wait
+// ends, so the op's interval spans admission to the end of the wait.
+func (b *recordingBackend) Admit(res, owner string, opt service.AcquireOptions) (service.Lease, service.Pending, error) {
+	call := b.rec.Tick()
+	l, p, err := b.svc.Admit(res, owner, opt)
+	if p != nil {
+		return l, recordedWait{b, p, res, owner, call}, nil
+	}
+	b.acquired(res, owner, call, l, err)
+	return l, nil, err
+}
+
+// recordedWait is a queued acquire's Pending, recorded when it ends.
+type recordedWait struct {
+	b          *recordingBackend
+	p          service.Pending
+	res, owner string
+	call       int64
+}
+
+func (w recordedWait) Wait() (service.Lease, error) {
+	l, err := w.p.Wait()
+	w.b.acquired(w.res, w.owner, w.call, l, err)
+	return l, err
+}
+
+// acquired logs one acquire, called at tick call, that ends now.
+func (b *recordingBackend) acquired(res, owner string, call int64, l service.Lease, err error) {
+	in := service.LeaseOp{Verb: service.VerbAcquire, Res: res}
+	b.rec.Add(clientID(owner), call, b.rec.Tick(), in, granted(l, err, service.AcquireCode))
 }
 
 func (b *recordingBackend) ReleaseFenced(res string, token, fence uint64) error {

@@ -6,6 +6,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"iqolb/internal/service"
 )
 
 func TestKindParse(t *testing.T) {
@@ -216,5 +218,44 @@ func TestCampaignPipelined(t *testing.T) {
 	b := reportBytes(t, cfg)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("same-seed pipelined campaigns differ:\n--- first ---\n%s\n--- second ---\n%s", a, b)
+	}
+}
+
+// TestRecordedWaitSpansAdmission: the campaign's recording backend logs a
+// queued acquire from its admission to the end of its wait, so the
+// release that hands it the lease lies inside its interval.
+func TestRecordedWaitSpansAdmission(t *testing.T) {
+	svc, err := service.New(service.Config{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	rec := &service.History{}
+	b := &recordingBackend{svc: svc, rec: rec}
+	held, err := b.Acquire("r", "c0", service.AcquireOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, p, err := b.Admit("r", "c1", service.AcquireOptions{Wait: true})
+	if err != nil || p == nil {
+		t.Fatalf("acquire of a held resource: pending %v, err %v; want queued", p, err)
+	}
+	if n := len(rec.Ops()); n != 1 {
+		t.Fatalf("%d ops recorded before the queued acquire's wait ended, want 1", n)
+	}
+	if err := b.ReleaseFenced("r", held.Token, held.Fence); err != nil {
+		t.Fatal(err)
+	}
+	l, err := p.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := rec.Ops()
+	if len(ops) != 3 {
+		t.Fatalf("%d ops recorded, want 3", len(ops))
+	}
+	rel, acq := ops[1], ops[2]
+	if !(acq.Call < rel.Call && rel.Ret < acq.Ret) || acq.Output != any(l.Token) {
+		t.Fatalf("queued acquire %+v does not span the release %+v and return its lease %d", acq, rel, l.Token)
 	}
 }

@@ -136,3 +136,51 @@ func TestPipelinedOpAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestQueuedAcquireAllocs holds the split acquire to its allocation
+// contract in-process: a decided acquire+release allocates only the
+// core's lease bookkeeping, and a queued acquire handed the lease by a
+// release adds only the core's waiter record and, with a MaxWait, the
+// clock's timer. The doorbell and the Pending are recycled.
+func TestQueuedAcquireAllocs(t *testing.T) {
+	svc, err := New(Config{Shards: 1, NoSweeper: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	decided := testing.AllocsPerRun(200, func() {
+		l, err := svc.Acquire("free", "o", AcquireOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc.Release("free", l.Token)
+	})
+	timer := testing.AllocsPerRun(200, func() { svc.clock.NewTimer(time.Minute).Stop() })
+	holder, err := svc.Acquire("hot", "h", AcquireOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mw := range []time.Duration{0, time.Minute} {
+		handoff := func() {
+			_, p, err := svc.Admit("hot", "w", AcquireOptions{Wait: true, MaxWait: mw})
+			if p == nil {
+				t.Fatalf("acquire of a held resource not queued: %v", err)
+			}
+			if err := svc.Release("hot", holder.Token); err != nil {
+				t.Fatal(err)
+			}
+			if holder, err = p.Wait(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		handoff() // warm the pool
+		n := testing.AllocsPerRun(200, handoff)
+		budget := decided + 1 // the core's waiter record
+		if mw > 0 {
+			budget += timer
+		}
+		if !raceEnabled && n > budget {
+			t.Errorf("MaxWait %v: queued acquire+hand-off allocates %.1f/op, want at most %.1f", mw, n, budget)
+		}
+	}
+}

@@ -270,8 +270,8 @@ func (p *clientPipeline) do(req Request, timeout time.Duration) (Response, error
 	}
 	defer func() { <-p.sem }()
 
-	var deadline int64
-	if timeout > 0 {
+	deadline := req.Deadline // an acquire's, stamped from the same timeout
+	if deadline == 0 && timeout > 0 {
 		deadline = time.Now().Add(timeout).UnixNano()
 	}
 	id := p.nextID.Add(1)

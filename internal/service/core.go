@@ -205,6 +205,15 @@ func (c *core) settle(now time.Time) {
 	}
 }
 
+// nextDeadline is when time next matters to the core: its earliest live
+// lease deadline; ok is false while no lease is live.
+func (c *core) nextDeadline() (next time.Time, ok bool) {
+	if len(c.heap) == 0 {
+		return time.Time{}, false
+	}
+	return c.heap[0].lease.Deadline, true
+}
+
 // acquire grants a free resource, refuses typed, or queues the request
 // and returns its waiter ID.
 func (c *core) acquire(now time.Time, name, owner string, ttl time.Duration, wait bool) (Lease, waiterID, error) {

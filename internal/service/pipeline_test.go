@@ -234,6 +234,64 @@ func TestPipelinedWindowBackpressure(t *testing.T) {
 	}
 }
 
+// TestPipelinedNoHeadOfLineBlocking: a pipelined acquire that must wait
+// occupies a worker, not the connection's read loop. With a window of
+// one, an acquire queued on a held resource parks the sole worker and a
+// second fills the worker channel's one slot; an acquire of a free
+// resource sent after them on the same connection is still granted well
+// within its op timeout, because admission decides it on the read loop.
+func TestPipelinedNoHeadOfLineBlocking(t *testing.T) {
+	srv, addr := startServerOpts(t, nil, ServerOptions{Window: 1})
+	svc := srv.svc.(*Service)
+	// Runs before the server's cleanup: the flush ends the parked waits,
+	// so the connection's workers can finish.
+	t.Cleanup(func() { svc.Close() })
+	holder, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer holder.Close()
+	if _, err := holder.Acquire("hot", "holder", AcquireOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	// Raw frames on one connection: the read loop takes them in order.
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	send := func(id uint64, res string) {
+		t.Helper()
+		frame, err := AppendRequest(nil, Request{Version: WireVersion3, ID: id, Op: OpAcquire, Resource: res, Owner: "a", Wait: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(1, "hot")
+	waitAllQueued(t, svc, 1) // the sole worker is parked on it
+	send(2, "hot")           // the worker channel's one slot
+	send(3, "free")
+	const opTimeout = 2 * time.Second
+	conn.SetReadDeadline(time.Now().Add(opTimeout))
+	resp, err := NewDecoder().ReadResponse(conn)
+	if err != nil {
+		t.Fatalf("free acquire behind two queued ones unanswered within %v: %v", opTimeout, err)
+	}
+	if resp.ID != 3 || resp.Op != OpGranted {
+		t.Fatalf("first response %+v, want the free acquire (ID 3) granted", resp)
+	}
+	q := 0
+	for _, sh := range svc.Snapshot().Shards {
+		q += sh.Queued
+	}
+	if q != 2 {
+		t.Fatalf("%d acquires queued on hot, want 2: the worker channel was not full", q)
+	}
+}
+
 // countingBackend tracks concurrent Acquire calls.
 type countingBackend struct {
 	inFlight, peak *atomic.Int64

@@ -10,7 +10,9 @@ import (
 
 // Backend is what the network server needs from the lease service.
 // *Service implements it; the chaos campaigns wrap it to record the
-// server-boundary history the linearizability checker replays.
+// server-boundary history the linearizability checker replays. A Backend
+// that also has Service's Admit method is admitted on the connection's
+// read loop (see NewServerWithOptions).
 type Backend interface {
 	Acquire(resource, owner string, opt AcquireOptions) (Lease, error)
 	ReleaseFenced(resource string, token, fence uint64) error
@@ -43,11 +45,13 @@ type ServerOptions struct {
 	// FlushDelay is the upper bound on it, the paper's time-out on an
 	// inserted delay, not a time every batch waits (0 = write through).
 	FlushDelay time.Duration
-	// Window caps the concurrently-executing pipelined (WireVersion3)
-	// requests per connection; once the window is full the connection's
-	// read loop stops pulling frames, pushing backpressure into the TCP
-	// window. Lock-step connections stay strictly one-in-flight
-	// regardless (0 = DefaultWindow).
+	// Window caps the queued pipelined (WireVersion3) acquires awaiting
+	// their outcome on a connection's workers; once the window is full,
+	// and as many again wait for a worker, the connection's read loop
+	// stops pulling frames, pushing backpressure into the TCP window. An
+	// acquire that admission decides at once takes no slot. Lock-step
+	// connections stay strictly one-in-flight regardless (0 =
+	// DefaultWindow).
 	Window int
 }
 
@@ -58,11 +62,12 @@ const DefaultWindow = 32
 // Server serves the wire protocol over TCP, one read loop per
 // connection. A lock-step connection's waiting acquire blocks its read
 // loop, which is exactly the queued-waiter semantics of the in-process
-// API; a pipelined connection's acquires wait on a worker pool instead
-// (see serveConn).
+// API; a pipelined connection's queued acquires wait on a worker pool
+// instead (see serveConn).
 type Server struct {
-	svc Backend
-	opt ServerOptions
+	svc   Backend
+	opt   ServerOptions
+	admit admitter // nil: every acquire is queued, its wait svc.Acquire
 
 	mu       sync.Mutex
 	ln       net.Listener
@@ -77,10 +82,25 @@ func NewServer(svc Backend) *Server {
 	return NewServerWithOptions(svc, ServerOptions{})
 }
 
-// NewServerWithOptions wraps a service for network serving.
+// NewServerWithOptions wraps a service for network serving. A Backend
+// without Admit is served as if its admission queued every acquire, with
+// Acquire as the wait.
 func NewServerWithOptions(svc Backend, opt ServerOptions) *Server {
-	return &Server{svc: svc, opt: opt, conns: make(map[net.Conn]struct{})}
+	s := &Server{svc: svc, opt: opt, conns: make(map[net.Conn]struct{})}
+	s.admit, _ = svc.(admitter)
+	return s
 }
+
+// admitter is a Backend whose acquire splits into admission and wait, as
+// *Service's does (see Service.Admit).
+type admitter interface {
+	Admit(resource, owner string, opt AcquireOptions) (Lease, Pending, error)
+}
+
+// acquireLater is the Pending of an acquire on a Backend without Admit.
+type acquireLater func() (Lease, error)
+
+func (f acquireLater) Wait() (Lease, error) { return f() }
 
 // Serve accepts connections on ln until Close or Drain; it returns nil
 // after a clean shutdown and the accept error otherwise.
@@ -180,18 +200,19 @@ func (s *Server) dropConn(conn net.Conn) {
 // set, a peer that goes quiet (or half-open) between requests is reaped
 // by the read deadline instead of pinning the goroutine forever.
 //
-// The version byte of each arriving frame selects how it is served.
-// Frames without a request ID dispatch serially in-line, preserving the
-// strict one-in-flight discipline lock-step clients rely on. The first
-// acquire that carries an ID lazily starts the connection's pipeline: a
-// fixed pool of `window` workers fed by a window-deep channel, so at
-// most `window` requests execute concurrently and at most another
-// window sit decoded awaiting a worker; past that the read loop blocks
-// (TCP backpressure) rather than growing an unbounded queue. The buffer
-// keeps the read loop decoding while workers run instead of stalling on
-// a synchronous goroutine hand-off per frame. Responses leave through
-// the shared flushWriter in completion order; request IDs let the client
-// reorder.
+// The read loop dispatches every frame itself: releases, resumes, pings
+// and the admission of every acquire, which the core decides at once
+// (granted, or refused typed) or queues. A decided acquire is answered
+// inline, without a goroutine hand-off. A queued one waits: a lock-step
+// frame (no request ID) on the read loop, preserving the strict
+// one-in-flight discipline lock-step clients rely on; a pipelined one on
+// the connection's workers, started lazily by the first such acquire: a
+// fixed pool of `window` of them fed by a window-deep channel, so at most
+// `window` queued acquires await their doorbells and at most another
+// window sit admitted awaiting a worker; past that the read loop blocks
+// (TCP backpressure) rather than growing an unbounded queue. Responses
+// leave through the shared flushWriter in completion order; request IDs
+// let the client reorder.
 func (s *Server) serveConn(conn net.Conn) {
 	dec := NewDecoder()
 	// 32 KiB: coalesced peers deliver multi-frame batches (up to the
@@ -201,8 +222,9 @@ func (s *Server) serveConn(conn net.Conn) {
 	fw := newFlushWriter(conn, s.opt.FlushDelay)
 	var pl *connPipeline
 	defer func() {
-		if pl != nil {
-			pl.stop()
+		if pl != nil { // end intake, and let the workers finish their waits
+			close(pl.reqs)
+			pl.wg.Wait()
 		}
 		fw.Close()
 		s.dropConn(conn)
@@ -224,31 +246,27 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			return // EOF, closed socket, idle deadline, or malformed frame
 		}
-		// Acquires can park in an admission queue, so pipelined ones run on
-		// the window's worker pool. Everything else (release, resume, ping)
-		// only ever takes a shard lock briefly — dispatching those inline on
-		// the read loop skips a goroutine hand-off per op, which at
-		// pipelined rates is a top-line scheduler cost on few cores.
-		// Responses interleave by ID, so ordering is free.
-		if req.Version == WireVersion3 && req.Op == OpAcquire {
+		resp, p := s.dispatch(req)
+		if p != nil && req.Version == WireVersion3 {
 			if pl == nil {
 				pl = s.startPipeline(conn, fw)
 			}
-			pl.submit(req)
+			pl.reqs <- queued{req.ID, p} // bounded buffering, then backpressure
 			continue
 		}
-		if scratch, err = s.reply(fw, scratch, req); err != nil {
+		if p != nil {
+			resp = s.leaseResp(p.Wait())
+		}
+		resp.Version, resp.ID = req.Version, req.ID
+		if scratch, err = reply(fw, scratch, resp); err != nil {
 			return
 		}
 	}
 }
 
-// reply executes req and writes its response in the layout, and under
-// the ID, the request arrived with. The response is encoded into scratch,
-// which is returned (possibly grown) for the caller's next reply.
-func (s *Server) reply(fw *flushWriter, scratch []byte, req Request) ([]byte, error) {
-	resp := s.dispatch(req)
-	resp.Version, resp.ID = req.Version, req.ID
+// reply encodes resp into scratch and writes it; scratch is returned
+// (possibly grown) for the caller's next reply.
+func reply(fw *flushWriter, scratch []byte, resp Response) ([]byte, error) {
 	out, err := AppendResponse(scratch[:0], resp)
 	if err != nil {
 		return scratch, err
@@ -256,51 +274,48 @@ func (s *Server) reply(fw *flushWriter, scratch []byte, req Request) ([]byte, er
 	return out, fw.WriteFrame(out)
 }
 
+// queued is a pipelined acquire that admission queued.
+type queued struct {
+	id uint64
+	p  Pending
+}
+
 // connPipeline is one pipelined connection's worker pool.
 type connPipeline struct {
-	reqs chan Request
+	reqs chan queued
 	wg   sync.WaitGroup
 }
 
-// startPipeline spins up the connection's pipelined dispatch workers.
-// Each worker owns its encode scratch; resource-level parallelism comes
-// from the service's shards, so workers for different resources really
-// do proceed concurrently while workers queued on one hot resource wait
-// in its shard's admission queue like any other waiter.
+// startPipeline spins up the connection's workers. Each owns its encode
+// scratch and awaits one queued acquire at a time, so waiters on
+// different resources really do wait concurrently.
 func (s *Server) startPipeline(conn net.Conn, fw *flushWriter) *connPipeline {
 	window := s.opt.Window
 	if window <= 0 {
 		window = DefaultWindow
 	}
-	pl := &connPipeline{reqs: make(chan Request, window)}
+	pl := &connPipeline{reqs: make(chan queued, window)}
 	pl.wg.Add(window)
 	for i := 0; i < window; i++ {
 		go func() {
 			defer pl.wg.Done()
 			var scratch []byte
 			var err error
-			for req := range pl.reqs {
+			for q := range pl.reqs {
+				// Awaited even once the connection failed: the wait is what
+				// takes the admitted waiter back out of the core.
+				resp := s.leaseResp(q.p.Wait())
 				if err != nil {
-					continue // drain so submit never blocks without receivers
+					continue
 				}
-				if scratch, err = s.reply(fw, scratch, req); err != nil {
+				resp.Version, resp.ID = WireVersion3, q.id
+				if scratch, err = reply(fw, scratch, resp); err != nil {
 					conn.Close()
 				}
 			}
 		}()
 	}
 	return pl
-}
-
-// submit hands one request to the worker pool, blocking once the
-// window's worth of decoded requests is already waiting — bounded
-// buffering, then backpressure.
-func (pl *connPipeline) submit(req Request) { pl.reqs <- req }
-
-// stop ends intake and waits for in-flight dispatches to finish.
-func (pl *connPipeline) stop() {
-	close(pl.reqs)
-	pl.wg.Wait()
 }
 
 // errResp builds the typed error response, attaching the retry-after
@@ -313,14 +328,18 @@ func (s *Server) errResp(err error) Response {
 	return resp
 }
 
-// granted builds the response carrying a lease.
-func granted(lease Lease) Response {
+// leaseResp builds the response to an acquire or resume: the lease, or
+// the typed error.
+func (s *Server) leaseResp(lease Lease, err error) Response {
+	if err != nil {
+		return s.errResp(err)
+	}
 	return Response{Op: OpGranted, Token: lease.Token, Deadline: lease.Deadline.UnixNano(), Fence: lease.Fence}
 }
 
-// dispatch executes one request against the service; reply stamps the
-// response's layout.
-func (s *Server) dispatch(req Request) Response {
+// dispatch executes one request against the service. An acquire is only
+// admitted: if it is queued, the response is the Pending's to give.
+func (s *Server) dispatch(req Request) (Response, Pending) {
 	switch req.Op {
 	case OpAcquire:
 		opt := AcquireOptions{TTL: req.TTL, Wait: req.Wait, MaxWait: req.MaxWait}
@@ -330,33 +349,32 @@ func (s *Server) dispatch(req Request) Response {
 		if req.Deadline > 0 {
 			// Deadline propagation: clamp the queued wait to the client's
 			// remaining budget so a caller that has already given up
-			// cannot hold a queue slot (or this goroutine) past it.
+			// cannot hold a queue slot (or a worker) past it.
 			remaining := time.Until(time.Unix(0, req.Deadline))
 			if remaining <= 0 {
-				return s.errResp(ErrWaitTimeout)
+				return s.errResp(ErrWaitTimeout), nil
 			}
 			if opt.Wait && (opt.MaxWait <= 0 || opt.MaxWait > remaining) {
 				opt.MaxWait = remaining
 			}
 		}
-		lease, err := s.svc.Acquire(req.Resource, req.Owner, opt)
-		if err != nil {
-			return s.errResp(err)
+		if s.admit == nil {
+			return Response{}, acquireLater(func() (Lease, error) { return s.svc.Acquire(req.Resource, req.Owner, opt) })
 		}
-		return granted(lease)
+		lease, p, err := s.admit.Admit(req.Resource, req.Owner, opt)
+		if p != nil {
+			return Response{}, p
+		}
+		return s.leaseResp(lease, err), nil
 	case OpRelease:
 		if err := s.svc.ReleaseFenced(req.Resource, req.Token, req.Fence); err != nil {
-			return s.errResp(err)
+			return s.errResp(err), nil
 		}
-		return Response{Op: OpOK}
+		return Response{Op: OpOK}, nil
 	case OpResume:
-		lease, err := s.svc.Resume(req.Resource, req.Token, req.Fence)
-		if err != nil {
-			return s.errResp(err)
-		}
-		return granted(lease)
+		return s.leaseResp(s.svc.Resume(req.Resource, req.Token, req.Fence)), nil
 	case OpPing:
-		return Response{Op: OpOK}
+		return Response{Op: OpOK}, nil
 	}
-	return Response{Op: OpError, Code: CodeBadFrame, Msg: "unknown op"}
+	return Response{Op: OpError, Code: CodeBadFrame, Msg: "unknown op"}, nil
 }

@@ -53,6 +53,7 @@ package service
 
 import (
 	"hash/fnv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -400,16 +401,34 @@ func (s *Service) clampTTL(ttl time.Duration) time.Duration {
 // resource is granted immediately. A held one is queued (opt.Wait)
 // subject to the shard's bounded admission queue, shed when the queue is
 // full or the shard is degraded, or refused with ErrNoWait. All errors
-// are typed; see errors.go.
+// are typed; see errors.go. Acquire is Admit, then the Pending's Wait.
 func (s *Service) Acquire(resourceName, owner string, opt AcquireOptions) (Lease, error) {
+	lease, p, err := s.Admit(resourceName, owner, opt)
+	if p != nil {
+		return p.Wait()
+	}
+	return lease, err
+}
+
+// Pending is an acquire that admission queued. Wait parks until the
+// acquire is decided: granted, failed typed, or timed out once MaxWait,
+// counted from admission, has run out. Wait must be called exactly once.
+type Pending interface {
+	Wait() (Lease, error)
+}
+
+// Admit is the half of Acquire that never waits. It grants a free
+// resource or refuses typed, and returns that outcome with a nil Pending;
+// otherwise it queues the request and returns the Pending to wait on.
+func (s *Service) Admit(resourceName, owner string, opt AcquireOptions) (Lease, Pending, error) {
 	if resourceName == "" {
-		return Lease{}, configErrf("empty resource name")
+		return Lease{}, nil, configErrf("empty resource name")
 	}
 	if s.closed.Load() {
-		return Lease{}, ErrClosed
+		return Lease{}, nil, ErrClosed
 	}
 	if s.draining.Load() {
-		return Lease{}, ErrDraining
+		return Lease{}, nil, ErrDraining
 	}
 	ttl := s.clampTTL(opt.TTL)
 	sh := s.shardFor(resourceName)
@@ -417,39 +436,57 @@ func (s *Service) Acquire(resourceName, owner string, opt AcquireOptions) (Lease
 	lease, w, err := sh.core.acquire(now, resourceName, owner, ttl, opt.Wait)
 	if w == 0 {
 		sh.leave()
-		return lease, err
+		return lease, nil, err
 	}
-	bell := make(chan struct{}, 1)
-	sh.bells[w] = bell
+	p := waitingPool.Get().(*waiting)
+	p.sh, p.w, p.timer = sh, w, nil
+	sh.bells[w] = p.bell
 	sh.leave()
-	return s.await(sh, w, bell, opt.MaxWait)
+	if opt.MaxWait > 0 {
+		p.timer = s.clock.NewTimer(opt.MaxWait)
+	}
+	return Lease{}, p, nil
 }
 
-// await parks a queued waiter on its doorbell. Each ring, and the MaxWait
+// waiting is the Service's Pending: a queued waiter's ID, its doorbell
+// and its MaxWait timer. It is recycled, doorbell and all, once its Wait
+// returns.
+type waiting struct {
+	sh    *shard
+	w     waiterID
+	bell  chan struct{}
+	timer Timer // nil: no MaxWait
+}
+
+var waitingPool = sync.Pool{New: func() any { return &waiting{bell: make(chan struct{}, 1)} }}
+
+// Wait parks a queued waiter on its doorbell. Each ring, and the MaxWait
 // timer, sends it back to the core to ask what became of it: granted,
 // failed, or still queued (a broadcast wake-up re-contends; a timeout
 // abandons the wait).
-func (s *Service) await(sh *shard, w waiterID, bell chan struct{}, maxWait time.Duration) (Lease, error) {
+func (p *waiting) Wait() (Lease, error) {
 	var timeout <-chan time.Time
-	if maxWait > 0 {
-		timer := s.clock.NewTimer(maxWait)
-		defer timer.Stop()
-		timeout = timer.C()
+	if p.timer != nil {
+		timeout = p.timer.C()
+		defer p.timer.Stop()
 	}
-	for {
-		abandon := false
+	for sh := p.sh; ; {
+		var abandon bool
 		select {
-		case <-bell:
-		case <-timeout:
-			abandon = true
+		case <-p.bell:
+		case _, abandon = <-timeout: // MaxWait ran out
 		}
 		now := sh.enter()
-		lease, done, err := sh.core.poll(now, w, abandon)
+		lease, done, err := sh.core.poll(now, p.w, abandon)
 		if done {
-			delete(sh.bells, w)
+			delete(sh.bells, p.w) // so no later leave rings the bell
 		}
 		sh.leave()
 		if done {
+			if len(p.bell) > 0 {
+				<-p.bell // a ring this wait did not need
+			}
+			waitingPool.Put(p)
 			return lease, err
 		}
 	}
@@ -520,27 +557,24 @@ func (s *Service) SweepExpired() int {
 	return total
 }
 
-// sweeper is the background expiry loop: it wakes at the earliest lease
-// deadline (bounded so the starvation watchdog runs regularly) and
-// sweeps.
+// sweeper is the background expiry loop: it wakes when the cores next
+// need time to pass (bounded so the starvation watchdog runs regularly)
+// and sweeps.
 func (s *Service) sweeper() {
 	defer close(s.sweeperDone)
 	const maxNap = 50 * time.Millisecond
-	const minNap = 100 * time.Microsecond
 	for {
+		// A due deadline naps 0 and sweeps at once; the sweep settles every
+		// due lease, so the next nap is positive.
 		nap := maxNap
 		now := s.clock.Now()
 		for _, sh := range s.shards {
 			sh.mu.Lock()
-			if h := sh.core.heap; len(h) > 0 {
-				if d := h[0].lease.Deadline.Sub(now); d < nap {
-					nap = d
-				}
-			}
+			next, ok := sh.core.nextDeadline()
 			sh.mu.Unlock()
-		}
-		if nap < minNap {
-			nap = minNap
+			if d := next.Sub(now); ok && d < nap {
+				nap = d
+			}
 		}
 		timer := s.clock.NewTimer(nap)
 		select {

@@ -708,3 +708,58 @@ func TestSweeperBackground(t *testing.T) {
 		t.Fatal("background sweeper never expired the lease")
 	}
 }
+
+// TestSweeperExpiresAtDeadline runs the sweeper on a FakeClock. It naps
+// until the earliest lease deadline with no floor under the nap, so a
+// lease expires when the clock reaches its deadline, and OnExpire fires
+// exactly once.
+func TestSweeperExpiresAtDeadline(t *testing.T) {
+	clk := NewFakeClock()
+	expired := make(chan Lease, 4)
+	s, err := New(Config{Shards: 2, Clock: clk, OnExpire: func(l Lease) { expired <- l }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	armed := func() {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+			clk.mu.Lock()
+			n := len(clk.timers)
+			clk.mu.Unlock()
+			if n > 0 {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("the sweeper never armed its nap")
+			}
+		}
+	}
+	// The sweeper's first nap is its 50 ms cap; the second is the 20 µs
+	// left of the lease, shorter than any floor would allow.
+	const rest = 20 * time.Microsecond
+	l, err := s.Acquire("r", "crash", AcquireOptions{TTL: 50*time.Millisecond + rest})
+	if err != nil {
+		t.Fatal(err)
+	}
+	armed()
+	clk.Advance(50 * time.Millisecond)
+	armed()
+	clk.Advance(rest)
+	select {
+	case e := <-expired:
+		if e.Token != l.Token {
+			t.Fatalf("expired %d, want %d", e.Token, l.Token)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the lease outlived its deadline: the sweeper napped past it")
+	}
+	armed()
+	clk.Advance(time.Second)
+	if n := s.SweepExpired(); n != 0 || len(expired) != 0 {
+		t.Fatalf("after the expiry: %d more swept, %d more OnExpire calls", n, len(expired))
+	}
+	if n := s.Snapshot().Totals.Expiries; n != 1 {
+		t.Fatalf("expiries = %d, want 1", n)
+	}
+}
