@@ -45,7 +45,7 @@ func TestRunInProcess(t *testing.T) {
 		if res.Grants == 0 {
 			t.Fatalf("%s: no grants", policy)
 		}
-		if res.Errors != 0 {
+		if res.Errors != 0 { // waits are capped at 10 s, not at a host-speed guess
 			t.Fatalf("%s: %d client errors", policy, res.Errors)
 		}
 		if res.Throughput <= 0 || res.WallNS <= 0 {

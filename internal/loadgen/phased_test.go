@@ -48,6 +48,8 @@ func TestRunPhasesSmoke(t *testing.T) {
 			}
 		}
 		if mode == ModeAdaptive {
+			// The two low phases alone think 16 ms, eight 2 ms ticker
+			// periods, so no tick means the controller never ran.
 			if r.Controller == nil || r.Controller.Ticks == 0 {
 				t.Errorf("adaptive run missing controller state: %+v", r.Controller)
 			}

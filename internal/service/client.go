@@ -3,6 +3,7 @@ package service
 import (
 	"bufio"
 	"fmt"
+	"math/bits"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -35,15 +36,6 @@ func getOpTimer(d time.Duration) *time.Timer {
 func putOpTimer(t *time.Timer) {
 	t.Stop()
 	opTimerPool.Put(t)
-}
-
-// replyChanPool recycles the buffered-1 reply channels ops register
-// with the read loop. A channel may be pooled only when no late send or
-// close can still target it: after its single response was received, or
-// after a deregister that found the registration still present (so the
-// router never saw it and the failure path cannot close it).
-var replyChanPool = sync.Pool{
-	New: func() any { return make(chan Response, 1) },
 }
 
 // Client is a lockserve wire-protocol client. It is safe for concurrent
@@ -98,8 +90,8 @@ func NewClient(conn net.Conn) *Client {
 // SetOpTimeout bounds each subsequent operation, so a dead or
 // partitioned peer surfaces as a typed timeout instead of a hang. In
 // lock-step mode it is a connection deadline around the round trip; in
-// pipelined mode each op registers a deadline that the pipeline's
-// watchdog enforces (the shared socket cannot carry per-op read
+// pipelined mode each op carries a deadline that the pipeline's one
+// deadline timer enforces (the shared socket cannot carry per-op read
 // deadlines). The same budget is propagated to the server inside
 // acquire frames, which clamps its queued wait to the client's remaining
 // budget. 0 disables.
@@ -109,7 +101,8 @@ func (c *Client) SetOpTimeout(d time.Duration) {
 
 // Pipeline switches the client to pipelined mode: WireVersion3 frames, up to
 // `window` requests in flight at once on the one connection (0 =
-// DefaultWindow), responses demultiplexed by request ID. flushDelay > 0
+// DefaultWindow), each holding one of `window` slots built here, and
+// responses routed back to their slot by request ID. flushDelay > 0
 // additionally coalesces request frames: they are held while other
 // goroutines are still sending on this client, so concurrent ops' frames
 // leave in one write syscall. The hold ends when the senders go quiet —
@@ -129,18 +122,22 @@ func (c *Client) Pipeline(window int, flushDelay time.Duration) error {
 		return wireErrf("client already pipelined")
 	}
 	// Clear any lock-step deadline left on the socket; pipelined ops are
-	// bounded by watchdog-enforced per-op deadlines instead.
+	// bounded by the deadline timer instead.
 	c.conn.SetDeadline(time.Time{})
 	pl := &clientPipeline{
-		c:       c,
-		fw:      newFlushWriter(c.conn, flushDelay),
-		sem:     make(chan struct{}, window),
-		pending: make(map[uint64]pendingOp),
-		stopc:   make(chan struct{}),
+		fw:    newFlushWriter(c.conn, flushDelay),
+		free:  make(chan uint64, window),
+		slots: make([]pipeSlot, window),
+		bits:  uint(bits.Len(uint(window - 1))),
 	}
+	for i := range pl.slots {
+		pl.slots[i].ch = make(chan Response, 1)
+		pl.free <- uint64(i)
+	}
+	pl.timer = time.AfterFunc(time.Hour, func() { pl.sweep(false) })
+	pl.timer.Stop()
 	c.pl.Store(pl)
 	go pl.readLoop(c.br)
-	go pl.watchdog()
 	return nil
 }
 
@@ -193,47 +190,59 @@ func (c *Client) roundTrip(req Request) (Response, error) {
 	return resp, err
 }
 
-// clientPipeline is the demultiplexing response router behind a
-// pipelined Client: ops register a reply channel under a fresh request
-// ID, frames go out through the (optionally coalescing) flushWriter,
-// and the read loop matches responses — which arrive in the server's
-// completion order, not send order — back to their waiting ops.
+// clientPipeline is the response router behind a pipelined Client: a
+// fixed ring of window slots, each owning its reply channel for the
+// connection's life. An op takes a free slot, sends its frame under the
+// ID gen<<bits | slot, and receives once on the slot's channel; the read
+// loop finds the slot by mask — responses arrive in the server's
+// completion order, not send order — with no map and no lock.
 //
-// Op timeouts are enforced by a single watchdog goroutine scanning the
-// pending registrations, not by a timer per op: arming and disarming a
-// runtime timer twice per op is a top-five CPU line at pipelined rates,
-// while one scan per tick is O(in-flight window) every few tens of
-// milliseconds. Timeouts are therefore coarse — an op can outlive its
-// deadline by up to one watchdog tick — which is the right trade for a
-// bound whose job is unwedging ops from a dead peer, not precision.
+// Each op is woken exactly once. The slot's word arbitrates between the
+// router, the deadline timer and fail(): whoever settles it from pending
+// to done is the channel's one sender for that op. A late reply to a
+// timed-out op names an older generation of its slot, so it cannot
+// settle the slot's next op and is dropped.
+//
+// Op timeouts share one timer, set to the earliest pending deadline and
+// only while some pending op has one; at pipelined rates with a fixed
+// timeout, an op finds it already set no later than its own deadline
+// and touches neither lock nor timer.
 type clientPipeline struct {
-	c   *Client
-	fw  *flushWriter
-	sem chan struct{} // in-flight window slots
+	fw    *flushWriter
+	free  chan uint64 // indices of free slots; a full window waits here
+	slots []pipeSlot
+	bits  uint // width of the slot index in a request ID
 
-	nextID atomic.Uint64
+	err atomic.Pointer[error] // first transport failure, sticky
 
-	mu      sync.Mutex
-	pending map[uint64]pendingOp
-	err     error // first transport failure, sticky
-
-	stopc chan struct{} // closed by fail(); stops the watchdog
+	// mu orders arming against sweeping: both set armed under it, or an
+	// earlier deadline could be lost behind a later one.
+	mu    sync.Mutex
+	armed atomic.Int64 // deadline the timer is set for (UnixNano); 0 = none
+	timer *time.Timer  // the one deadline timer; runs sweep(false)
 }
 
-// pendingOp is one in-flight registration: the reply channel and the
-// absolute deadline (UnixNano; 0 = no timeout) the watchdog enforces.
-type pendingOp struct {
-	ch       chan Response
-	deadline int64
+// pipeSlot is one window slot. Its word is 0 while idle, id<<1|1 while op
+// id is pending and id<<1 once the op is done.
+type pipeSlot struct {
+	word     atomic.Uint64
+	deadline atomic.Int64  // the pending op's, UnixNano; 0 = no timeout
+	gen      uint64        // the slot's uses; touched only by its holder
+	ch       chan Response // buffered 1; never closed
 }
 
-// opTimedOut is the watchdog's in-band timeout marker: an op byte the
-// wire never carries, delivered on the reply channel so do() needs only
-// one channel receive instead of a select with a timer.
-const opTimedOut = 0xFF
+// settle moves op id from pending to done, reporting whether this caller
+// did so and so owns the op's one send on the slot's channel.
+func (s *pipeSlot) settle(id uint64) bool {
+	return s.word.CompareAndSwap(id<<1|1, id<<1)
+}
 
-// watchdogTick bounds how long past its deadline an op can linger.
-const watchdogTick = 25 * time.Millisecond
+// The sweep's in-band markers: op bytes the wire never carries, delivered
+// on the reply channel so do() needs one receive, not a select.
+const (
+	opTimedOut = 0xFF // the op's deadline passed
+	opFailed   = 0xFE // the pipeline failed; its sticky error says why
+)
 
 // opTimeoutError is a pipelined per-op timeout. It implements net.Error
 // with Timeout() true, so the resilient layer classifies it exactly
@@ -247,180 +256,162 @@ func (e *opTimeoutError) Error() string {
 func (e *opTimeoutError) Timeout() bool   { return true }
 func (e *opTimeoutError) Temporary() bool { return true }
 
-// do runs one pipelined op: take a window slot, register, send, await.
+// do runs one pipelined op: take a slot, mark it pending, send, await.
 func (p *clientPipeline) do(req Request, timeout time.Duration) (Response, error) {
+	if err := p.err.Load(); err != nil {
+		return Response{}, *err
+	}
 	// Window acquisition: the non-blocking fast path costs no timer at
 	// all; only an actually-full window arms one (pooled) to bound the
 	// wait.
+	var i uint64
 	select {
-	case p.sem <- struct{}{}:
+	case i = <-p.free:
 	default:
 		if timeout > 0 {
 			timer := getOpTimer(timeout)
 			select {
-			case p.sem <- struct{}{}:
+			case i = <-p.free:
 				putOpTimer(timer)
 			case <-timer.C:
 				putOpTimer(timer)
 				return Response{}, &opTimeoutError{op: opName(req.Op)}
 			}
 		} else {
-			p.sem <- struct{}{}
+			i = <-p.free
 		}
 	}
-	defer func() { <-p.sem }()
+	defer func() { p.free <- i }()
 
+	s := &p.slots[i]
 	deadline := req.Deadline // an acquire's, stamped from the same timeout
 	if deadline == 0 && timeout > 0 {
 		deadline = time.Now().Add(timeout).UnixNano()
 	}
-	id := p.nextID.Add(1)
-	ch := replyChanPool.Get().(chan Response)
-	p.mu.Lock()
-	if p.err != nil {
-		err := p.err
-		p.mu.Unlock()
-		replyChanPool.Put(ch)
-		return Response{}, err
+	s.gen++
+	id := s.gen<<p.bits | i
+	s.deadline.Store(deadline)
+	s.word.Store(id<<1 | 1)
+	if a := p.armed.Load(); deadline != 0 && (a == 0 || deadline < a) {
+		p.arm(deadline)
 	}
-	p.pending[id] = pendingOp{ch: ch, deadline: deadline}
-	p.mu.Unlock()
-
 	req.Version = WireVersion3
 	req.ID = id
+	if err := p.send(req); err != nil {
+		if !s.settle(id) {
+			<-s.ch // a sweep settled it first: take its marker
+		}
+		return Response{}, err
+	}
+	switch resp := <-s.ch; resp.Op {
+	case opTimedOut:
+		return Response{}, &opTimeoutError{op: opName(req.Op)}
+	case opFailed:
+		return Response{}, *p.err.Load()
+	default:
+		return resp, nil
+	}
+}
+
+// send encodes and writes one request frame. Its op's slot is already
+// pending, so either fail() settles that slot or the check here sees
+// fail()'s error. A failed write fails the pipeline, and the op reports
+// the sticky error like every other op caught by the failure.
+//
+// No per-op write deadline: a peer that stopped reading wedges the
+// socket write, but the timer then times out some op, classifies
+// transport, and the resilient layer (or the caller) closes the
+// connection — which unblocks the writer. Skipping the syscall per op
+// matters at these rates.
+func (p *clientPipeline) send(req Request) error {
+	if err := p.err.Load(); err != nil {
+		return *err
+	}
 	buf := framePool.Get().(*[]byte)
 	frame, err := AppendRequest((*buf)[:0], req)
-	if err != nil {
-		framePool.Put(buf)
-		if p.deregister(id) {
-			replyChanPool.Put(ch)
+	if err == nil {
+		*buf = frame
+		if err = p.fw.WriteFrame(frame); err != nil {
+			p.fail(err)
+			err = *p.err.Load()
 		}
-		return Response{}, err
 	}
-	// No per-op write deadline: a peer that stopped reading wedges the
-	// socket write, but the watchdog then times out some op, classifies
-	// transport, and the resilient layer (or the caller) closes the
-	// connection — which unblocks the writer. Skipping the syscall per
-	// op matters at these rates.
-	*buf = frame
-	werr := p.fw.WriteFrame(frame)
 	framePool.Put(buf)
-	if werr != nil {
-		// A write error means the frame never reached the coalescing
-		// buffer, so no response can land on ch; if the registration is
-		// still ours (fail() has not closed it), the channel is clean.
-		if p.deregister(id) {
-			replyChanPool.Put(ch)
-		}
-		p.fail(werr)
-		return Response{}, werr
-	}
-
-	// One plain receive: the router delivers the response, the watchdog
-	// delivers the opTimedOut marker, or fail() closes the channel.
-	// Whoever delivers deleted the registration first, so the (single)
-	// send makes the channel clean to recycle.
-	resp, ok := <-ch
-	if !ok {
-		// fail() closed it — a closed channel is never pooled.
-		p.mu.Lock()
-		err := p.err
-		p.mu.Unlock()
-		if err == nil {
-			err = net.ErrClosed
-		}
-		return Response{}, err
-	}
-	replyChanPool.Put(ch)
-	if resp.Op == opTimedOut {
-		return Response{}, &opTimeoutError{op: opName(req.Op)}
-	}
-	return resp, nil
+	return err
 }
 
-// watchdog enforces pipelined op deadlines: every tick it sweeps the
-// pending registrations and delivers the timeout marker to any op past
-// its deadline. It exits when fail() closes stopc (transport death
-// already woke every op by closing its channel).
-func (p *clientPipeline) watchdog() {
-	timer := time.NewTimer(watchdogTick)
-	defer timer.Stop()
-	var expired []chan Response
-	for {
-		select {
-		case <-p.stopc:
-			return
-		case <-timer.C:
+// arm sets the timer to deadline unless it is already set no later.
+func (p *clientPipeline) arm(deadline int64) {
+	p.mu.Lock()
+	if a := p.armed.Load(); a == 0 || deadline < a {
+		p.armed.Store(deadline)
+		p.timer.Reset(time.Until(time.Unix(0, deadline)))
+	}
+	p.mu.Unlock()
+}
+
+// sweep settles every pending op past its deadline with the timeout
+// marker — or, with failAll, every pending op with the failure marker —
+// and sets the timer to the earliest deadline left. It clears armed
+// before it looks at any slot, so an op that saw the old value has a
+// pending slot that this sweep sees.
+func (p *clientPipeline) sweep(failAll bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.armed.Store(0)
+	marker := Response{Op: opTimedOut}
+	if failAll {
+		marker.Op = opFailed
+	}
+	now, next := time.Now().UnixNano(), int64(0)
+	for i := range p.slots {
+		s := &p.slots[i]
+		w := s.word.Load()
+		if w&1 == 0 {
+			continue
 		}
-		now := time.Now().UnixNano()
-		expired = expired[:0]
-		p.mu.Lock()
-		for id, po := range p.pending {
-			if po.deadline != 0 && now >= po.deadline {
-				delete(p.pending, id)
-				expired = append(expired, po.ch)
+		if d := s.deadline.Load(); failAll || (d != 0 && d <= now) {
+			if s.settle(w >> 1) {
+				s.ch <- marker // buffered; the op has not yet received
 			}
+		} else if d != 0 && (next == 0 || d < next) {
+			next = d
 		}
-		p.mu.Unlock()
-		for _, ch := range expired {
-			ch <- Response{Op: opTimedOut} // buffered; sole sender post-delete
-		}
-		timer.Reset(watchdogTick)
+	}
+	if next != 0 {
+		p.armed.Store(next)
+		p.timer.Reset(time.Duration(next - now))
+	} else {
+		p.timer.Stop()
 	}
 }
 
-// deregister removes id's reply registration, reporting whether it was
-// still present (false: the router or fail() already claimed it).
-func (p *clientPipeline) deregister(id uint64) bool {
-	p.mu.Lock()
-	_, ok := p.pending[id]
-	delete(p.pending, id)
-	p.mu.Unlock()
-	return ok
-}
-
-// fail marks the pipeline dead, wakes every in-flight op by closing
-// its reply channel, and stops the watchdog and the flusher; subsequent
-// ops fail fast at registration. The flusher is stopped after the mutex
-// is released: its last flush is a socket write, and ops must be able
-// to fail at registration while it is in progress.
+// fail records the sticky error, settles every pending op with the
+// failure marker and stops the flusher; later ops fail fast with the
+// error. The flusher stops last: its final flush is a socket write.
 func (p *clientPipeline) fail(err error) {
-	p.mu.Lock()
-	if p.err != nil {
-		p.mu.Unlock()
-		return
+	if p.err.CompareAndSwap(nil, &err) {
+		p.sweep(true)
+		p.fw.Close()
 	}
-	p.err = err
-	close(p.stopc)
-	for id, po := range p.pending {
-		delete(p.pending, id)
-		close(po.ch)
-	}
-	p.mu.Unlock()
-	p.fw.Close()
 }
 
 // readLoop is the router: one decoder, one reader goroutine for the
-// connection's lifetime, zero steady-state allocations beyond the reply
-// channels.
+// connection's lifetime, and no steady-state allocation.
 func (p *clientPipeline) readLoop(br *bufio.Reader) {
 	dec := NewDecoder()
+	mask := uint64(1)<<p.bits - 1
 	for {
 		resp, err := dec.ReadResponse(br)
 		if err != nil {
 			p.fail(fmt.Errorf("service: pipelined read: %w", err))
 			return
 		}
-		p.mu.Lock()
-		po, ok := p.pending[resp.ID]
-		if ok {
-			delete(p.pending, resp.ID)
+		// An ID no op is pending under (a timed-out op's late reply, or
+		// one this client never sent) settles nothing and is dropped.
+		if i := resp.ID & mask; i < uint64(len(p.slots)) && resp.ID>>63 == 0 && p.slots[i].settle(resp.ID) {
+			p.slots[i].ch <- resp // buffered; never blocks the router
 		}
-		p.mu.Unlock()
-		if ok {
-			po.ch <- resp // buffered; never blocks the router
-		}
-		// Unknown ID: the op timed out and deregistered — drop it.
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -289,6 +290,287 @@ func TestPipelinedNoHeadOfLineBlocking(t *testing.T) {
 	}
 	if q != 2 {
 		t.Fatalf("%d acquires queued on hot, want 2: the worker channel was not full", q)
+	}
+}
+
+// rawPeer listens for one client connection; accept hands it to the
+// test, which scripts the server's side of the wire by hand.
+func rawPeer(t *testing.T) (addr string, accept func() net.Conn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	ch := make(chan net.Conn, 1)
+	go func() {
+		if conn, err := ln.Accept(); err == nil {
+			ch <- conn
+		}
+	}()
+	return ln.Addr().String(), func() net.Conn {
+		conn := <-ch
+		t.Cleanup(func() { conn.Close() })
+		return conn
+	}
+}
+
+// grantFrame is a raw peer's grant of request id, carrying token.
+func grantFrame(t *testing.T, id, token uint64) []byte {
+	t.Helper()
+	frame, err := AppendResponse(nil, Response{Version: WireVersion3, ID: id, Op: OpGranted, Token: token, Fence: token})
+	if err != nil {
+		t.Error(err)
+	}
+	return frame
+}
+
+// TestPipelinedLateReplyDroppedByGeneration: with a window of one, op 2
+// reuses op 1's slot. Op 1's reply, held past op 1's timeout, reaches
+// the client just before op 2's own reply; it names the slot's older
+// generation, so it is dropped, and op 2 gets its own token.
+func TestPipelinedLateReplyDroppedByGeneration(t *testing.T) {
+	addr, accept := rawPeer(t)
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.Pipeline(1, 0); err != nil {
+		t.Fatal(err)
+	}
+	conn := accept()
+	ids := make(chan uint64, 2)
+	go func() {
+		dec := NewDecoder()
+		var got [2]uint64
+		for i := range got {
+			req, err := dec.ReadRequest(conn)
+			if err != nil {
+				return
+			}
+			got[i] = req.ID
+			ids <- req.ID
+		}
+		// Only now, with op 1 timed out and op 2 sent, does op 1's
+		// reply go out, right ahead of op 2's.
+		conn.Write(append(grantFrame(t, got[0], 111), grantFrame(t, got[1], 222)...))
+	}()
+
+	cl.SetOpTimeout(50 * time.Millisecond)
+	_, err = cl.Acquire("r", "o", AcquireOptions{})
+	var nerr net.Error
+	if !errors.As(err, &nerr) || !nerr.Timeout() || !isTransport(err) {
+		t.Fatalf("op 1 against a peer holding its reply: %v, want a transport-class timeout", err)
+	}
+	cl.SetOpTimeout(2 * time.Second) // a hang detector only
+	lease, err := cl.Acquire("r", "o", AcquireOptions{})
+	if err != nil {
+		t.Fatalf("op 2: %v", err)
+	}
+	if id1, id2 := <-ids, <-ids; id1 == id2 {
+		t.Fatalf("both ops went out as ID %d", id1)
+	}
+	if lease.Token != 222 {
+		t.Fatalf("op 2 got token %d, want its own 222 (111 is op 1's late reply)", lease.Token)
+	}
+}
+
+// TestPipelinedEarlierDeadlineNotLost: the one deadline timer is set for
+// op A's 10 s deadline when op B arrives with a 50 ms one; B must move
+// it earlier, not wait behind A.
+func TestPipelinedEarlierDeadlineNotLost(t *testing.T) {
+	addr, accept := rawPeer(t) // reads nothing, answers nothing
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Pipeline(2, 0); err != nil {
+		t.Fatal(err)
+	}
+	accept()
+	cl.SetOpTimeout(10 * time.Second)
+	aDone := make(chan error, 1)
+	go func() { aDone <- cl.Ping() }()
+	pl := cl.pl.Load()
+	for pl.armed.Load() == 0 { // A is pending and the timer is set for it
+		time.Sleep(time.Millisecond)
+	}
+	cl.SetOpTimeout(50 * time.Millisecond)
+	bDone := make(chan error, 1)
+	go func() { bDone <- cl.Ping() }()
+	select {
+	case err := <-bDone:
+		var nerr net.Error
+		if !errors.As(err, &nerr) || !nerr.Timeout() {
+			t.Fatalf("op B: %v, want a typed timeout", err)
+		}
+	case <-aDone:
+		t.Fatal("op A returned before op B")
+	case <-time.After(2 * time.Second): // a hang detector, far below A's 10 s
+		t.Fatal("op B's 50 ms deadline was lost behind op A's 10 s one")
+	}
+	cl.Close()
+	if err := <-aDone; err == nil || !isTransport(err) {
+		t.Fatalf("op A after Close: %v, want the transport failure", err)
+	}
+}
+
+// TestPipelinedResolvesExactlyOnce: 32 goroutines share a window of 4
+// against a peer that answers most ops at once, holds every fourth reply
+// well past its op's timeout, and after 300 requests cuts a frame short
+// and closes. Each op must end in exactly one of its own reply (the peer
+// echoes the op's number as the token), a timeout, or the pipeline's
+// sticky failure; an op issued after the failure gets that failure at
+// once; and when every op has returned, every slot is free and no reply
+// is left undelivered in any slot.
+func TestPipelinedResolvesExactlyOnce(t *testing.T) {
+	addr, accept := rawPeer(t)
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	const window, workers, requests = 4, 32, 300
+	if err := cl.Pipeline(window, 0); err != nil {
+		t.Fatal(err)
+	}
+	cl.SetOpTimeout(20 * time.Millisecond)
+	conn := accept()
+	go func() {
+		var mu sync.Mutex // orders the peer's writes
+		write := func(b []byte) {
+			mu.Lock()
+			conn.Write(b)
+			mu.Unlock()
+		}
+		dec := NewDecoder()
+		for n := 1; n <= requests; n++ {
+			req, err := dec.ReadRequest(conn)
+			if err != nil {
+				return
+			}
+			var token uint64
+			fmt.Sscan(req.Owner, &token)
+			frame := grantFrame(t, req.ID, token)
+			if n%4 == 0 {
+				time.AfterFunc(100*time.Millisecond, func() { write(frame) })
+			} else {
+				write(frame)
+			}
+		}
+		mu.Lock()
+		conn.Write(grantFrame(t, 1, 0)[:5]) // a header and one byte of ID
+		conn.Close()
+		mu.Unlock()
+	}()
+
+	var replies, timeouts, failures atomic.Int64
+	errs := make(chan error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for seq := 1; ; seq++ {
+				token := uint64(w*1_000_000 + seq)
+				lease, err := cl.Acquire("r", fmt.Sprint(token), AcquireOptions{})
+				var nerr *opTimeoutError
+				switch {
+				case err == nil && lease.Token == token:
+					replies.Add(1)
+				case err == nil:
+					errs <- fmt.Errorf("op %d got op %d's reply", token, lease.Token)
+					return
+				case errors.As(err, &nerr):
+					timeouts.Add(1)
+				default:
+					failures.Add(1)
+					e := cl.pl.Load().err.Load()
+					if e == nil || err != *e {
+						errs <- fmt.Errorf("op %d failed with %v, not the sticky failure", token, err)
+						return
+					}
+					sticky := *e
+					start := time.Now()
+					if _, err := cl.Acquire("r", "after", AcquireOptions{}); err != sticky {
+						errs <- fmt.Errorf("op after the failure: %v, want the sticky %v", err, sticky)
+					} else if d := time.Since(start); d > time.Second {
+						errs <- fmt.Errorf("op after the failure took %v to fail", d)
+					}
+					return
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("ops still unresolved after 30 s")
+	}
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	// Every fourth reply is held 80 ms past its op's timeout, so at least
+	// one op among the ~75 held ones times out unless the timer never fires.
+	if replies.Load() == 0 || timeouts.Load() == 0 || failures.Load() != workers {
+		t.Fatalf("%d replies, %d timeouts, %d failures; want some of the first two and one failure per worker",
+			replies.Load(), timeouts.Load(), failures.Load())
+	}
+	pl := cl.pl.Load()
+	if n := len(pl.free); n != window {
+		t.Fatalf("%d of %d slots free after every op returned", n, window)
+	}
+	for i := range pl.slots {
+		if s := &pl.slots[i]; s.word.Load()&1 != 0 || len(s.ch) != 0 {
+			t.Fatalf("slot %d: word %#x, %d undelivered replies", i, s.word.Load(), len(s.ch))
+		}
+	}
+}
+
+// TestPipelinedGoroutines: a write-through pipelined client runs exactly
+// one goroutine of its own, the router — an op waiting on its deadline
+// adds none — and Close gives it back.
+func TestPipelinedGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	addr, accept := rawPeer(t) // reads nothing, answers nothing
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Pipeline(8, 0); err != nil {
+		t.Fatal(err)
+	}
+	conn := accept()
+	cl.SetOpTimeout(time.Minute)
+	opDone := make(chan error, 1)
+	go func() { opDone <- cl.Ping() }()
+	for cl.pl.Load().armed.Load() == 0 { // the op is pending on its deadline
+		time.Sleep(time.Millisecond)
+	}
+	pipelineGoroutines := func() int {
+		buf := make([]byte, 1<<20)
+		return strings.Count(string(buf[:runtime.Stack(buf, true)]), "created by iqolb/internal/service.(*Client).Pipeline")
+	}
+	if n := pipelineGoroutines(); n != 1 {
+		t.Fatalf("Pipeline started %d goroutines, want 1 (the router)", n)
+	}
+	cl.Close()
+	select {
+	case err := <-opDone:
+		if err == nil {
+			t.Fatal("op on a closed client succeeded")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close left the pending op unresolved")
+	}
+	conn.Close()
+	waitGoroutines(t, before)
+	if n := pipelineGoroutines(); n != 0 {
+		t.Fatalf("%d pipeline goroutines left after Close", n)
 	}
 }
 
