@@ -323,14 +323,14 @@ func runOne(kindName string, kinds []Kind, seed uint64, cfg CampaignConfig) RunR
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(ln) }()
 
-	// One proxy and one resilient client per campaign client: dial
+	// One proxy and one Redial client per campaign client: dial
 	// order = connection order = deterministic stream seeding.
 	maxInj := uint64(4)
 	if len(kinds) == 1 && (kinds[0] == Stall || kinds[0] == Partition) {
 		maxInj = 2 // these cost a full op-timeout (or refused dials) each
 	}
 	proxies := make([]*Proxy, cfg.Clients)
-	clients := make([]*service.ResilientClient, cfg.Clients)
+	clients := make([]*service.Client, cfg.Clients)
 	for i := range proxies {
 		p, err := New(ln.Addr().String(), Plan{
 			Seed:          seed ^ (uint64(i)+0x51)*0x9e3779b97f4a7c15,
@@ -343,13 +343,18 @@ func runOne(kindName string, kinds []Kind, seed uint64, cfg CampaignConfig) RunR
 			return fail("proxy: %v", err)
 		}
 		proxies[i] = p
-		clients[i] = service.NewResilient(p.Addr(), service.ResilientOptions{
-			OpTimeout:   350 * time.Millisecond,
-			DialTimeout: 250 * time.Millisecond,
-			Retry:       service.RetryPolicy{Initial: time.Millisecond, Cap: 16 * time.Millisecond, MaxAttempts: 12},
+		clients[i] = service.Redial(p.Addr(), service.RetryPolicy{
+			Initial:     time.Millisecond,
+			Cap:         16 * time.Millisecond,
+			MaxAttempts: 12,
 			Seed:        seed*7919 + uint64(i),
-			Pipeline:    cfg.Window,
 		})
+		clients[i].SetOpTimeout(350 * time.Millisecond)
+		if cfg.Window >= 2 {
+			// The client has not dialed yet, so this only records the
+			// window for every connection it dials; it cannot fail.
+			_ = clients[i].Pipeline(cfg.Window, 0)
+		}
 	}
 
 	// The workload: closed-loop acquire/release pairs over shared
@@ -384,7 +389,7 @@ func runOne(kindName string, kinds []Kind, seed uint64, cfg CampaignConfig) RunR
 						failMu.Unlock()
 						continue
 					}
-					if err := rc.Release(lease); err != nil {
+					if err := rc.ReleaseFenced(lease.Resource, lease.Token, lease.Fence); err != nil {
 						failMu.Lock()
 						failureSet[failureClass(err)] = true
 						failMu.Unlock()
@@ -396,7 +401,7 @@ func runOne(kindName string, kinds []Kind, seed uint64, cfg CampaignConfig) RunR
 	wg.Wait()
 
 	// Aggregate the retry-layer counters before teardown.
-	var stats service.ResilientStats
+	var stats service.ClientStats
 	for _, rc := range clients {
 		st := rc.Stats()
 		stats.Dials += st.Dials

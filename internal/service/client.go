@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"iqolb/internal/faults"
 )
 
 // framePool recycles encode buffers for pipelined sends; every buffer
@@ -19,45 +21,31 @@ var framePool = sync.Pool{
 	},
 }
 
-// opTimerPool recycles the per-op timeout timers: at pipelined rates
-// time.NewTimer per op is a top-five CPU line, and Go 1.23+ timer
-// semantics (synchronous Stop/Reset, no stale channel values) make
-// Reset-after-Stop safe without draining.
-var opTimerPool = sync.Pool{}
-
-func getOpTimer(d time.Duration) *time.Timer {
-	if t, _ := opTimerPool.Get().(*time.Timer); t != nil {
-		t.Reset(d)
-		return t
-	}
-	return time.NewTimer(d)
-}
-
-func putOpTimer(t *time.Timer) {
-	t.Stop()
-	opTimerPool.Put(t)
-}
-
-// Client is a lockserve wire-protocol client. It is safe for concurrent
-// use. By default requests serialize on the single connection (one in
-// flight), matching the closed-loop clients of the load generator; open
-// one Client per concurrent actor, or call Pipeline to let one
-// connection carry a window of concurrent requests, told apart by the
-// request IDs of the WireVersion3 layout.
+// Client is a lockserve wire-protocol client, safe for concurrent use.
+// A Client from Dial or NewClient runs each op once on its one
+// connection. A Client from Redial has an address to dial again: it
+// dials lazily and runs each op through its retry policy (rclient.go).
+// Either way, requests serialize on the live connection (one in flight),
+// matching the closed-loop clients of the load generator, until Pipeline
+// lets one connection carry a window of concurrent requests, told apart
+// by the request IDs of the WireVersion3 layout.
 type Client struct {
-	conn   net.Conn
-	closed atomic.Bool
+	cur       atomic.Pointer[wireConn] // the live connection; nil while a Redial client has none
+	opTimeout atomic.Int64             // time.Duration, read by every op
 
-	// opTimeout and pl are atomics because the pipelined hot path reads
-	// them on every op from many goroutines; taking the round-trip mutex
-	// just to read them would serialize the window.
-	opTimeout atomic.Int64                   // time.Duration
-	pl        atomic.Pointer[clientPipeline] // nil until Pipeline
+	// The retry policy, set by Redial only: a client from Dial or
+	// NewClient has no address to redial, and no retry loop, held leases
+	// or stats.
+	addr   string
+	policy RetryPolicy
 
-	mu  sync.Mutex // serializes lock-step round trips (and mode changes)
-	br  *bufio.Reader
-	dec *Decoder
-	enc []byte // lock-step encode scratch
+	mu         sync.Mutex // guards the fields below, the dial and the jitter draw
+	window     int        // Pipeline's, applied to every connection dialed
+	flushDelay time.Duration
+	closed     bool
+	str        faults.Stream
+	held       map[string]Lease // resource → lease to re-validate on reconnect; nil unless Redial
+	stats      ClientStats
 }
 
 // Dial connects to a lockserve address.
@@ -69,22 +57,11 @@ func Dial(addr string) (*Client, error) {
 	return NewClient(conn), nil
 }
 
-// DialTimeout connects with a bound on the dial itself.
-func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, err
-	}
-	return NewClient(conn), nil
-}
-
 // NewClient wraps an established connection.
 func NewClient(conn net.Conn) *Client {
-	return &Client{
-		conn: conn,
-		br:   bufio.NewReaderSize(conn, 32<<10),
-		dec:  NewDecoder(),
-	}
+	c := &Client{}
+	c.cur.Store(newWireConn(conn))
+	return c
 }
 
 // SetOpTimeout bounds each subsequent operation, so a dead or
@@ -94,38 +71,103 @@ func NewClient(conn net.Conn) *Client {
 // deadline timer enforces (the shared socket cannot carry per-op read
 // deadlines). The same budget is propagated to the server inside
 // acquire frames, which clamps its queued wait to the client's remaining
-// budget. 0 disables.
+// budget, and it bounds each dial of a Redial client. 0 disables.
 func (c *Client) SetOpTimeout(d time.Duration) {
 	c.opTimeout.Store(int64(d))
 }
 
 // Pipeline switches the client to pipelined mode: WireVersion3 frames, up to
 // `window` requests in flight at once on the one connection (0 =
-// DefaultWindow), each holding one of `window` slots built here, and
-// responses routed back to their slot by request ID. flushDelay > 0
-// additionally coalesces request frames: they are held while other
-// goroutines are still sending on this client, so concurrent ops' frames
-// leave in one write syscall. The hold ends when the senders go quiet —
-// a lone op is written at once — and flushDelay is only the upper bound
-// on it. Pipeline must be called before the client is shared across
-// goroutines and cannot be undone on this connection.
+// DefaultWindow), each holding one of `window` slots, and responses
+// routed back to their slot by request ID. flushDelay > 0 additionally
+// coalesces request frames: they are held while other goroutines are
+// still sending on this client, so concurrent ops' frames leave in one
+// write syscall. The hold ends when the senders go quiet — a lone op is
+// written at once — and flushDelay is only the upper bound on it. A
+// Redial client pipelines every connection it dials. Pipeline must be
+// called before the client is shared across goroutines and cannot be
+// undone.
 func (c *Client) Pipeline(window int, flushDelay time.Duration) error {
 	if window <= 0 {
 		window = DefaultWindow
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed.Load() {
+	if w := c.cur.Load(); w != nil {
+		if err := w.pipeline(window, flushDelay); err != nil {
+			return err
+		}
+	} else if c.window != 0 {
+		return wireErrf("client already pipelined")
+	}
+	c.window, c.flushDelay = window, flushDelay
+	return nil
+}
+
+// Close closes the connection. A Dial client's later ops fail
+// net.ErrClosed; a Redial client's fail ErrClosed and dial nothing.
+func (c *Client) Close() error {
+	if c.held == nil {
+		return c.cur.Load().close()
+	}
+	c.mu.Lock()
+	c.closed = true
+	w := c.cur.Swap(nil)
+	c.mu.Unlock()
+	if w == nil {
+		return nil
+	}
+	return w.close()
+}
+
+// do runs one request: once on a Dial client's connection, through the
+// retry loop on a Redial client's.
+func (c *Client) do(req Request) (Response, error) {
+	if c.held == nil {
+		return c.cur.Load().roundTrip(req, time.Duration(c.opTimeout.Load()))
+	}
+	return c.retry(req)
+}
+
+// wireConn is one connection: the socket, the lock-step round trip's
+// mutex, reader and decoder, and once pipelined its response router.
+type wireConn struct {
+	conn   net.Conn
+	closed atomic.Bool
+	// pl is an atomic because the pipelined hot path reads it on every
+	// op from many goroutines; taking the round-trip mutex just to read
+	// it would serialize the window.
+	pl atomic.Pointer[clientPipeline] // nil until pipelined
+
+	mu  sync.Mutex // serializes lock-step round trips (and the mode change)
+	br  *bufio.Reader
+	dec *Decoder
+	enc []byte // lock-step encode scratch
+}
+
+func newWireConn(conn net.Conn) *wireConn {
+	return &wireConn{
+		conn: conn,
+		br:   bufio.NewReaderSize(conn, 32<<10),
+		dec:  NewDecoder(),
+	}
+}
+
+// pipeline builds the connection's window of slots and starts its router.
+func (w *wireConn) pipeline(window int, flushDelay time.Duration) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.closed.Load() {
 		return net.ErrClosed
 	}
-	if c.pl.Load() != nil {
+	if w.pl.Load() != nil {
 		return wireErrf("client already pipelined")
 	}
 	// Clear any lock-step deadline left on the socket; pipelined ops are
 	// bounded by the deadline timer instead.
-	c.conn.SetDeadline(time.Time{})
+	w.conn.SetDeadline(time.Time{})
 	pl := &clientPipeline{
-		fw:    newFlushWriter(c.conn, flushDelay),
+		fw:    newFlushWriter(w.conn, flushDelay),
 		free:  make(chan uint64, window),
 		slots: make([]pipeSlot, window),
 		bits:  uint(bits.Len(uint(window - 1))),
@@ -136,56 +178,63 @@ func (c *Client) Pipeline(window int, flushDelay time.Duration) error {
 	}
 	pl.timer = time.AfterFunc(time.Hour, func() { pl.sweep(false) })
 	pl.timer.Stop()
-	c.pl.Store(pl)
-	go pl.readLoop(c.br)
+	w.pl.Store(pl)
+	go pl.readLoop(w.br)
 	return nil
 }
 
-// Close closes the connection. It deliberately does NOT take the
-// round-trip mutex: a round trip blocked mid-read on a vanished peer
-// holds it indefinitely, and net.Conn.Close is safe to call
-// concurrently — it unblocks that pending read with net.ErrClosed. In
-// pipelined mode the dying read loop then fails every in-flight op
-// typed.
-func (c *Client) Close() error {
-	if !c.closed.CompareAndSwap(false, true) {
+// close closes the socket. It deliberately does NOT take the round-trip
+// mutex: a round trip blocked mid-read on a vanished peer holds it
+// indefinitely, and net.Conn.Close is safe to call concurrently — it
+// unblocks that pending read with net.ErrClosed. In pipelined mode the
+// dying read loop then fails every in-flight op typed.
+func (w *wireConn) close() error {
+	if !w.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	return c.conn.Close()
+	return w.conn.Close()
 }
 
 // roundTrip executes one request: pipelined when a window is active,
-// lock-step (write, then read, under the mutex) otherwise. A lock-step
-// round trip that fails on the socket closes the connection: the
-// response it gave up on may still arrive, and with no request IDs the
-// next op would take it for its own.
-func (c *Client) roundTrip(req Request) (Response, error) {
-	if pl := c.pl.Load(); pl != nil {
-		if c.closed.Load() {
+// lock-step (write, then read, under the mutex) otherwise. An acquire
+// carries the op's deadline to the server. A lock-step round trip that
+// fails on the socket closes the connection: the response it gave up on
+// may still arrive, and with no request IDs the next op would take it
+// for its own.
+func (w *wireConn) roundTrip(req Request, timeout time.Duration) (Response, error) {
+	var deadline int64 // UnixNano; 0 = none
+	if timeout > 0 {
+		deadline = time.Now().Add(timeout).UnixNano()
+		if req.Op == OpAcquire {
+			req.Deadline = deadline
+		}
+	}
+	if pl := w.pl.Load(); pl != nil {
+		if w.closed.Load() {
 			return Response{}, net.ErrClosed
 		}
-		return pl.do(req, time.Duration(c.opTimeout.Load()))
+		return pl.do(req, timeout, deadline)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed.Load() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.closed.Load() {
 		return Response{}, net.ErrClosed
 	}
-	if d := time.Duration(c.opTimeout.Load()); d > 0 {
-		c.conn.SetDeadline(time.Now().Add(d))
+	if deadline != 0 {
+		w.conn.SetDeadline(time.Unix(0, deadline))
 	}
-	frame, err := AppendRequest(c.enc[:0], req)
+	frame, err := AppendRequest(w.enc[:0], req)
 	if err != nil {
 		return Response{}, err
 	}
-	c.enc = frame
-	_, err = c.conn.Write(frame)
+	w.enc = frame
+	_, err = w.conn.Write(frame)
 	var resp Response
 	if err == nil {
-		resp, err = c.dec.ReadResponse(c.br)
+		resp, err = w.dec.ReadResponse(w.br)
 	}
 	if err != nil {
-		c.Close()
+		w.close()
 	}
 	return resp, err
 }
@@ -245,9 +294,9 @@ const (
 )
 
 // opTimeoutError is a pipelined per-op timeout. It implements net.Error
-// with Timeout() true, so the resilient layer classifies it exactly
-// like a connection deadline: transport fault, drop the connection,
-// redial, retry.
+// with Timeout() true, so a Redial client's retry loop classifies it
+// exactly like a connection deadline: transport fault, drop the
+// connection, redial, retry.
 type opTimeoutError struct{ op string }
 
 func (e *opTimeoutError) Error() string {
@@ -257,24 +306,24 @@ func (e *opTimeoutError) Timeout() bool   { return true }
 func (e *opTimeoutError) Temporary() bool { return true }
 
 // do runs one pipelined op: take a slot, mark it pending, send, await.
-func (p *clientPipeline) do(req Request, timeout time.Duration) (Response, error) {
+// deadline is the op's (UnixNano, 0 = none); timeout bounds the wait for
+// a slot.
+func (p *clientPipeline) do(req Request, timeout time.Duration, deadline int64) (Response, error) {
 	if err := p.err.Load(); err != nil {
 		return Response{}, *err
 	}
 	// Window acquisition: the non-blocking fast path costs no timer at
-	// all; only an actually-full window arms one (pooled) to bound the
-	// wait.
+	// all; only an actually-full window arms one to bound the wait.
 	var i uint64
 	select {
 	case i = <-p.free:
 	default:
 		if timeout > 0 {
-			timer := getOpTimer(timeout)
+			timer := time.NewTimer(timeout)
 			select {
 			case i = <-p.free:
-				putOpTimer(timer)
+				timer.Stop()
 			case <-timer.C:
-				putOpTimer(timer)
 				return Response{}, &opTimeoutError{op: opName(req.Op)}
 			}
 		} else {
@@ -284,10 +333,6 @@ func (p *clientPipeline) do(req Request, timeout time.Duration) (Response, error
 	defer func() { p.free <- i }()
 
 	s := &p.slots[i]
-	deadline := req.Deadline // an acquire's, stamped from the same timeout
-	if deadline == 0 && timeout > 0 {
-		deadline = time.Now().Add(timeout).UnixNano()
-	}
 	s.gen++
 	id := s.gen<<p.bits | i
 	s.deadline.Store(deadline)
@@ -320,7 +365,7 @@ func (p *clientPipeline) do(req Request, timeout time.Duration) (Response, error
 //
 // No per-op write deadline: a peer that stopped reading wedges the
 // socket write, but the timer then times out some op, classifies
-// transport, and the resilient layer (or the caller) closes the
+// transport, and the retry loop (or the caller) closes the
 // connection — which unblocks the writer. Skipping the syscall per op
 // matters at these rates.
 func (p *clientPipeline) send(req Request) error {
@@ -452,21 +497,28 @@ func okReply(what string, resp Response, err error) error {
 }
 
 // Acquire requests a lease over the wire; errors are the same typed
-// sentinels the in-process API returns.
+// sentinels the in-process API returns. A Redial client retries
+// transient refusals and transport faults behind the jittered backoff. A
+// transport retry can observe the side effect of its own earlier attempt
+// (the first try's grant landed but the response was lost); the fencing
+// token keeps that safe — the orphan lease expires by TTL and its stale
+// release would be rejected typed.
 func (c *Client) Acquire(resource, owner string, opt AcquireOptions) (Lease, error) {
-	req := Request{
+	resp, err := c.do(Request{
 		Op:       OpAcquire,
 		Resource: resource,
 		Owner:    owner,
 		TTL:      opt.TTL,
 		MaxWait:  opt.MaxWait,
 		Wait:     opt.Wait,
+	})
+	lease, err := leaseReply("acquire", resource, owner, resp, err)
+	if err == nil && c.held != nil {
+		c.mu.Lock()
+		c.held[resource] = lease
+		c.mu.Unlock()
 	}
-	if d := time.Duration(c.opTimeout.Load()); d > 0 {
-		req.Deadline = time.Now().Add(d).UnixNano()
-	}
-	resp, err := c.roundTrip(req)
-	return leaseReply("acquire", resource, owner, resp, err)
+	return lease, err
 }
 
 // Release ends a lease over the wire.
@@ -475,22 +527,33 @@ func (c *Client) Release(resource string, token uint64) error {
 }
 
 // ReleaseFenced ends a lease over the wire with its fencing token;
-// fence 0 makes no fence claim.
+// fence 0 makes no fence claim. On a Redial client, a typed
+// ErrNotHeld/ErrLeaseExpired/ErrRevoked/ErrFenced verdict after a
+// transport retry resolves to success: the earlier attempt may have
+// landed, and each of those verdicts proves this token no longer holds
+// the resource — which is all a release needs.
 func (c *Client) ReleaseFenced(resource string, token, fence uint64) error {
-	resp, err := c.roundTrip(Request{Op: OpRelease, Resource: resource, Token: token, Fence: fence})
+	resp, err := c.do(Request{Op: OpRelease, Resource: resource, Token: token, Fence: fence})
+	if c.held != nil {
+		c.mu.Lock()
+		if held, ok := c.held[resource]; ok && held.Token == token {
+			delete(c.held, resource)
+		}
+		c.mu.Unlock()
+	}
 	return okReply("release", resp, err)
 }
 
-// Resume re-validates a held lease after a reconnect: the live lease if
+// resume re-validates a held lease after a reconnect: the live lease if
 // the token still holds the resource, or the typed reason it no longer
 // does.
-func (c *Client) Resume(resource string, token, fence uint64) (Lease, error) {
-	resp, err := c.roundTrip(Request{Op: OpResume, Resource: resource, Token: token, Fence: fence})
+func (w *wireConn) resume(resource string, token, fence uint64, timeout time.Duration) (Lease, error) {
+	resp, err := w.roundTrip(Request{Op: OpResume, Resource: resource, Token: token, Fence: fence}, timeout)
 	return leaseReply("resume", resource, "", resp, err)
 }
 
 // Ping round-trips a no-op frame.
 func (c *Client) Ping() error {
-	resp, err := c.roundTrip(Request{Op: OpPing})
+	resp, err := c.do(Request{Op: OpPing})
 	return okReply("ping", resp, err)
 }

@@ -392,7 +392,7 @@ func TestPipelinedEarlierDeadlineNotLost(t *testing.T) {
 	cl.SetOpTimeout(10 * time.Second)
 	aDone := make(chan error, 1)
 	go func() { aDone <- cl.Ping() }()
-	pl := cl.pl.Load()
+	pl := cl.cur.Load().pl.Load()
 	for pl.armed.Load() == 0 { // A is pending and the timer is set for it
 		time.Sleep(time.Millisecond)
 	}
@@ -486,7 +486,7 @@ func TestPipelinedResolvesExactlyOnce(t *testing.T) {
 					timeouts.Add(1)
 				default:
 					failures.Add(1)
-					e := cl.pl.Load().err.Load()
+					e := cl.cur.Load().pl.Load().err.Load()
 					if e == nil || err != *e {
 						errs <- fmt.Errorf("op %d failed with %v, not the sticky failure", token, err)
 						return
@@ -520,7 +520,7 @@ func TestPipelinedResolvesExactlyOnce(t *testing.T) {
 		t.Fatalf("%d replies, %d timeouts, %d failures; want some of the first two and one failure per worker",
 			replies.Load(), timeouts.Load(), failures.Load())
 	}
-	pl := cl.pl.Load()
+	pl := cl.cur.Load().pl.Load()
 	if n := len(pl.free); n != window {
 		t.Fatalf("%d of %d slots free after every op returned", n, window)
 	}
@@ -548,12 +548,12 @@ func TestPipelinedGoroutines(t *testing.T) {
 	cl.SetOpTimeout(time.Minute)
 	opDone := make(chan error, 1)
 	go func() { opDone <- cl.Ping() }()
-	for cl.pl.Load().armed.Load() == 0 { // the op is pending on its deadline
+	for cl.cur.Load().pl.Load().armed.Load() == 0 { // the op is pending on its deadline
 		time.Sleep(time.Millisecond)
 	}
 	pipelineGoroutines := func() int {
 		buf := make([]byte, 1<<20)
-		return strings.Count(string(buf[:runtime.Stack(buf, true)]), "created by iqolb/internal/service.(*Client).Pipeline")
+		return strings.Count(string(buf[:runtime.Stack(buf, true)]), "created by iqolb/internal/service.(*wireConn).pipeline")
 	}
 	if n := pipelineGoroutines(); n != 1 {
 		t.Fatalf("Pipeline started %d goroutines, want 1 (the router)", n)
@@ -601,19 +601,17 @@ func (b *countingBackend) Resume(string, uint64, uint64) (Lease, error) {
 func (b *countingBackend) Drain(time.Duration) error { return nil }
 func (b *countingBackend) Close() error              { return nil }
 
-// TestResilientPipelined shares one ResilientClient across goroutines
+// TestResilientPipelined shares one Redial client across goroutines
 // with a pipelined window and checks reconnect-with-resume still works:
 // kill the connection under it mid-workload and let the retry loop
 // redial.
 func TestResilientPipelined(t *testing.T) {
 	srv, addr := startServerOpts(t, nil, ServerOptions{})
-	rc := NewResilient(addr, ResilientOptions{
-		OpTimeout: time.Second,
-		Retry:     RetryPolicy{Initial: time.Millisecond, Cap: 8 * time.Millisecond, MaxAttempts: 10},
-		Seed:      1,
-		Pipeline:  8,
-	})
+	rc := Redial(addr, RetryPolicy{Initial: time.Millisecond, Cap: 8 * time.Millisecond, MaxAttempts: 10, Seed: 1})
 	defer rc.Close()
+	if err := rc.Pipeline(8, 0); err != nil {
+		t.Fatal(err)
+	}
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
@@ -628,7 +626,7 @@ func TestResilientPipelined(t *testing.T) {
 					errs <- fmt.Errorf("acquire: %w", err)
 					return
 				}
-				if err := rc.Release(lease); err != nil {
+				if err := rc.ReleaseFenced(lease.Resource, lease.Token, lease.Fence); err != nil {
 					errs <- fmt.Errorf("release: %w", err)
 					return
 				}
@@ -636,7 +634,8 @@ func TestResilientPipelined(t *testing.T) {
 		}(w)
 	}
 	// Yank every live server-side connection partway through; the
-	// resilient layer must redial (pipelined again) and finish. The sleep
+	// client must redial (pipelined again, as TestResilientRedialKeepsWindow
+	// checks) and finish. The sleep
 	// only places the yank: early, late or mid-batch, every op must still
 	// complete, so no interleaving fails the test.
 	time.Sleep(20 * time.Millisecond)

@@ -1,19 +1,19 @@
-// The resilient client: the serving-path rendering of the paper's
-// delay-insertion argument applied to retries. A connection reset or a
-// shed is the re-arrival herd problem all over again — every affected
-// client would re-dial and re-acquire at once, which is the test&set
-// stampede the paper fixes with calibrated delays. The ResilientClient
-// therefore retries behind a capped exponential backoff quantized to
-// bands (the locks.Tuning band idea) with seeded jitter inside the
-// band, honors the server's retry-after hints (the server inserting the
-// delay), and re-validates held leases by fencing token after every
-// reconnect so a zombie can never double-release.
+// The retry policy of a Redial client: the serving-path rendering of the
+// paper's delay-insertion argument applied to retries. A connection
+// reset or a shed is the re-arrival herd problem all over again — every
+// affected client would re-dial and re-acquire at once, which is the
+// test&set stampede the paper fixes with calibrated delays. A Redial
+// client therefore retries behind a capped exponential backoff quantized
+// to bands (the locks.Tuning band idea) with seeded jitter inside the
+// band, honors the server's retry-after hints up to the same cap (the
+// server inserting the delay), and re-validates held leases by fencing
+// token after every reconnect so a zombie can never double-release.
 package service
 
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"net"
 	"time"
 
 	"iqolb/internal/faults"
@@ -33,6 +33,9 @@ type RetryPolicy struct {
 	// included (default 8). When exhausted the operation fails with the
 	// last typed error wrapped in a give-up message.
 	MaxAttempts int
+	// Seed drives the jitter stream; equal seeds yield equal retry
+	// schedules, which is what keeps chaos campaigns reproducible.
+	Seed uint64
 }
 
 func (p RetryPolicy) withDefaults() RetryPolicy {
@@ -60,32 +63,9 @@ func (p RetryPolicy) band(attempt int) time.Duration {
 	return b
 }
 
-// ResilientOptions tune a ResilientClient.
-type ResilientOptions struct {
-	// OpTimeout bounds each round trip (default 1s); it doubles as the
-	// propagated acquire deadline.
-	OpTimeout time.Duration
-	// DialTimeout bounds each (re)connect (default OpTimeout).
-	DialTimeout time.Duration
-	// Retry is the backoff schedule.
-	Retry RetryPolicy
-	// Seed drives the jitter stream; equal seeds yield equal retry
-	// schedules, which is what keeps chaos campaigns reproducible.
-	Seed uint64
-	// Pipeline, when ≥ 2, runs the underlying connection in pipelined
-	// mode (wire v3) with that in-flight window, letting concurrent
-	// goroutines share this ResilientClient instead of serializing on
-	// one round trip. ≤ 1 keeps the lock-step connection.
-	Pipeline int
-	// FlushDelay, when positive, coalesces the pipelined connection's
-	// request frames: concurrent ops batch into one write syscall, held
-	// until the senders go quiet and for this long at most (only
-	// meaningful with Pipeline ≥ 2).
-	FlushDelay time.Duration
-}
-
-// ResilientStats counts what the retry loop did; all monotonic.
-type ResilientStats struct {
+// ClientStats counts what a Redial client's retry loop did; all
+// monotonic, and all zero on a Dial client.
+type ClientStats struct {
 	Dials       uint64 `json:"dials"`
 	Reconnects  uint64 `json:"reconnects"`
 	Retries     uint64 `json:"retries"`
@@ -94,254 +74,178 @@ type ResilientStats struct {
 	GaveUp      uint64 `json:"gave_up"`
 }
 
-// ResilientClient wraps the wire client with reconnect, typed
-// retryable-vs-fatal classification, jittered-delay backoff, and
-// fenced lease resumption. It is safe for concurrent use: operations
-// run outside the client's mutex, so with Pipeline ≥ 2 many goroutines
-// genuinely share one pipelined connection; without it they serialize
-// on the underlying Client's round trip, like before.
-type ResilientClient struct {
-	addr string
-	opt  ResilientOptions
-
-	mu     sync.Mutex
-	cl     *Client
-	str    faults.Stream
-	held   map[string]Lease // resource → lease to re-validate on reconnect
-	stats  ResilientStats
-	closed bool
-}
-
-// NewResilient builds a resilient client for addr; the first connection
-// is dialed lazily on the first operation.
-func NewResilient(addr string, opt ResilientOptions) *ResilientClient {
-	if opt.OpTimeout <= 0 {
-		opt.OpTimeout = time.Second
+// Redial builds a client for addr that dials lazily on the first
+// operation, with an op timeout of 1s (SetOpTimeout changes it). It runs
+// every op through the retry policy: typed retryable-vs-fatal
+// classification, jittered-delay backoff, a redial after a transport
+// fault, and fenced resumption of the leases it holds on every new
+// connection. Operations run outside the client's mutex, so a pipelined
+// Redial client is genuinely shared by many goroutines.
+func Redial(addr string, p RetryPolicy) *Client {
+	c := &Client{
+		addr:   addr,
+		policy: p.withDefaults(),
+		str:    faults.NewStream(p.Seed),
+		held:   make(map[string]Lease),
 	}
-	if opt.DialTimeout <= 0 {
-		opt.DialTimeout = opt.OpTimeout
-	}
-	opt.Retry = opt.Retry.withDefaults()
-	return &ResilientClient{
-		addr: addr,
-		opt:  opt,
-		str:  faults.NewStream(opt.Seed),
-		held: make(map[string]Lease),
-	}
+	c.opTimeout.Store(int64(time.Second))
+	return c
 }
 
 // Stats returns a copy of the retry-loop counters.
-func (rc *ResilientClient) Stats() ResilientStats {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.stats
+func (c *Client) Stats() ClientStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.stats
 }
 
-// Held returns the leases the client believes it holds (post-resume
+// Held returns the leases a Redial client believes it holds (post-resume
 // truth after the latest reconnect).
-func (rc *ResilientClient) Held() []Lease {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	out := make([]Lease, 0, len(rc.held))
-	for _, l := range rc.held {
+func (c *Client) Held() []Lease {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]Lease, 0, len(c.held))
+	for _, l := range c.held {
 		out = append(out, l)
 	}
 	return out
 }
 
-// Close drops the connection; held-lease records are kept (the server's
-// sweeper reclaims them by TTL).
-func (rc *ResilientClient) Close() error {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	rc.closed = true
-	if rc.cl != nil {
-		err := rc.cl.Close()
-		rc.cl = nil
-		return err
+// connect returns the live connection, dialing one (and resuming the
+// held leases over it) if there is none.
+func (c *Client) connect() (*wireConn, error) {
+	if w := c.cur.Load(); w != nil {
+		return w, nil
 	}
-	return nil
-}
-
-// connectLocked returns the live connection, dialing (and resuming held
-// leases) if needed.
-func (rc *ResilientClient) connectLocked() (*Client, error) {
-	if rc.closed {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
 		return nil, ErrClosed
 	}
-	if rc.cl != nil {
-		return rc.cl, nil
+	if w := c.cur.Load(); w != nil {
+		return w, nil
 	}
-	cl, err := DialTimeout(rc.addr, rc.opt.DialTimeout)
+	timeout := time.Duration(c.opTimeout.Load())
+	conn, err := net.DialTimeout("tcp", c.addr, timeout)
 	if err != nil {
 		return nil, err
 	}
-	cl.SetOpTimeout(rc.opt.OpTimeout)
-	if rc.opt.Pipeline >= 2 {
-		if err := cl.Pipeline(rc.opt.Pipeline, rc.opt.FlushDelay); err != nil {
-			cl.Close()
+	w := newWireConn(conn)
+	if c.window != 0 {
+		if err := w.pipeline(c.window, c.flushDelay); err != nil {
+			w.close()
 			return nil, err
 		}
 	}
-	rc.stats.Dials++
-	if rc.stats.Dials > 1 {
-		rc.stats.Reconnects++
+	c.stats.Dials++
+	if c.stats.Dials > 1 {
+		c.stats.Reconnects++
 	}
-	rc.cl = cl
-	rc.resumeHeldLocked(cl)
-	return cl, nil
+	c.resumeHeld(w, timeout)
+	c.cur.Store(w)
+	return w, nil
 }
 
-// resumeHeldLocked re-validates every held lease over a fresh
-// connection. A typed loss verdict (expired, revoked, fenced, not held)
-// removes the record — the lease is gone and must never be released
-// with the stale token. A transport failure mid-resume leaves the
-// record in place; the next reconnect retries it.
-func (rc *ResilientClient) resumeHeldLocked(cl *Client) {
-	for res, lease := range rc.held {
-		got, err := cl.Resume(res, lease.Token, lease.Fence)
+// resumeHeld re-validates every held lease over a fresh connection. A
+// typed loss verdict (expired, revoked, fenced, not held) removes the
+// record — the lease is gone and must never be released with the stale
+// token. A transport failure mid-resume leaves the record in place; the
+// next reconnect retries it.
+func (c *Client) resumeHeld(w *wireConn, timeout time.Duration) {
+	for res, lease := range c.held {
+		got, err := w.resume(res, lease.Token, lease.Fence, timeout)
 		switch {
 		case err == nil:
-			rc.held[res] = got
-			rc.stats.ResumedOK++
+			c.held[res] = got
+			c.stats.ResumedOK++
 		case Retryable(err):
 			// Transport or transient: resolved by a later reconnect.
 			return
 		default:
-			delete(rc.held, res)
-			rc.stats.ResumedLost++
+			delete(c.held, res)
+			c.stats.ResumedLost++
 		}
 	}
-}
-
-// connect takes the mutex around connectLocked.
-func (rc *ResilientClient) connect() (*Client, error) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.connectLocked()
 }
 
 // drop discards a connection whose round trip failed at the transport
 // level — but only if it is still the current one; with concurrent
 // callers another goroutine may already have replaced it, and closing
 // the replacement would fail its in-flight ops for nothing.
-func (rc *ResilientClient) drop(cl *Client) {
-	rc.mu.Lock()
-	if rc.cl == cl {
-		rc.cl = nil
-	}
-	rc.mu.Unlock()
-	cl.Close()
+func (c *Client) drop(w *wireConn) {
+	c.cur.CompareAndSwap(w, nil)
+	w.close()
 }
 
 // backoff inserts the retry delay for attempt: the server's retry-after
-// hint when it sent one, else the policy band, jittered to [band/2,
-// band) by the seeded stream. The sleep happens outside the mutex so
-// one backing-off goroutine never stalls the others; the jitter draw
-// itself is serialized, which keeps single-actor schedules (the chaos
-// campaigns) exactly reproducible.
-func (rc *ResilientClient) backoff(attempt int, hint time.Duration) {
-	band := rc.opt.Retry.band(attempt)
+// hint when it sent one, else the policy band, either no wider than Cap,
+// jittered to [band/2, band) by the seeded stream. The sleep happens
+// outside the mutex so one backing-off goroutine never stalls the
+// others; the jitter draw itself is serialized, which keeps single-actor
+// schedules (the chaos campaigns) exactly reproducible.
+func (c *Client) backoff(attempt int, hint time.Duration) {
+	band := c.policy.band(attempt)
 	if hint > 0 {
-		band = hint
+		band = min(hint, c.policy.Cap)
 	}
 	half := band / 2
 	if half <= 0 {
 		half = 1
 	}
-	rc.mu.Lock()
-	d := half + time.Duration(rc.str.Intn(int64(half)))
-	rc.mu.Unlock()
+	c.mu.Lock()
+	d := half + time.Duration(c.str.Intn(int64(half)))
+	c.mu.Unlock()
 	time.Sleep(d)
-	rc.mu.Lock()
-	rc.stats.Retries++
-	rc.mu.Unlock()
+	c.mu.Lock()
+	c.stats.Retries++
+	c.mu.Unlock()
 }
 
-// do runs one operation through the retry loop. op runs with a live
-// connection, outside the client mutex; transportRetried tells it
-// whether an earlier attempt may have reached the server (for release
-// idempotence).
-func (rc *ResilientClient) do(op func(cl *Client, transportRetried bool) error) error {
+// retry runs req through the retry loop, on a live connection and
+// outside the client mutex. A typed refusal comes back as its error. A
+// release that an earlier attempt may have landed (a transport retry) is
+// complete on any verdict that proves the token no longer holds the
+// resource.
+func (c *Client) retry(req Request) (Response, error) {
 	var lastErr error
 	transportRetried := false
-	for attempt := 0; attempt < rc.opt.Retry.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < c.policy.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			hint, _ := RetryAfterHint(lastErr)
-			rc.backoff(attempt-1, hint)
+			c.backoff(attempt-1, hint)
 		}
-		cl, err := rc.connect()
+		w, err := c.connect()
 		if err != nil {
 			if !Retryable(err) {
-				return err
+				return Response{}, err
 			}
 			lastErr = err
 			continue
 		}
-		err = op(cl, transportRetried)
-		if err == nil {
-			return nil
+		resp, err := w.roundTrip(req, time.Duration(c.opTimeout.Load()))
+		if err == nil && resp.Op == OpError {
+			err = codeError(resp)
+		}
+		switch {
+		case err == nil:
+			return resp, nil
+		case req.Op == OpRelease && transportRetried && isReleaseSettled(err):
+			return Response{Op: OpOK}, nil
 		}
 		lastErr = err
 		if isTransport(err) {
-			rc.drop(cl)
+			c.drop(w)
 			transportRetried = true
 			continue
 		}
 		if !Retryable(err) {
-			return err
+			return Response{}, err
 		}
 	}
-	rc.mu.Lock()
-	rc.stats.GaveUp++
-	rc.mu.Unlock()
-	return fmt.Errorf("service: gave up after %d attempts: %w", rc.opt.Retry.MaxAttempts, lastErr)
-}
-
-// Acquire requests a lease, retrying transient refusals and transport
-// faults behind the jittered backoff. A transport retry can observe the
-// side effect of its own earlier attempt (the first try's grant landed
-// but the response was lost); the fencing token keeps that safe — the
-// orphan lease expires by TTL and its stale release would be rejected
-// typed.
-func (rc *ResilientClient) Acquire(resource, owner string, opt AcquireOptions) (Lease, error) {
-	var lease Lease
-	err := rc.do(func(cl *Client, _ bool) error {
-		got, err := cl.Acquire(resource, owner, opt)
-		if err != nil {
-			return err
-		}
-		lease = got
-		rc.mu.Lock()
-		rc.held[resource] = got
-		rc.mu.Unlock()
-		return nil
-	})
-	return lease, err
-}
-
-// Release ends a held lease by its fencing token. After a transport
-// retry, a typed ErrNotHeld/ErrLeaseExpired/ErrFenced verdict resolves
-// to success: the earlier attempt may have landed, and each of those
-// verdicts proves this token no longer holds the resource — which is
-// all a release needs.
-func (rc *ResilientClient) Release(lease Lease) error {
-	err := rc.do(func(cl *Client, transportRetried bool) error {
-		err := cl.ReleaseFenced(lease.Resource, lease.Token, lease.Fence)
-		if err == nil {
-			return nil
-		}
-		if transportRetried && isReleaseSettled(err) {
-			return nil
-		}
-		return err
-	})
-	rc.mu.Lock()
-	if held, ok := rc.held[lease.Resource]; ok && held.Token == lease.Token {
-		delete(rc.held, lease.Resource)
-	}
-	rc.mu.Unlock()
-	return err
+	c.mu.Lock()
+	c.stats.GaveUp++
+	c.mu.Unlock()
+	return Response{}, fmt.Errorf("service: gave up after %d attempts: %w", c.policy.MaxAttempts, lastErr)
 }
 
 // isReleaseSettled reports whether err proves the lease is no longer
@@ -349,9 +253,4 @@ func (rc *ResilientClient) Release(lease Lease) error {
 func isReleaseSettled(err error) bool {
 	return errors.Is(err, ErrNotHeld) || errors.Is(err, ErrLeaseExpired) ||
 		errors.Is(err, ErrRevoked) || errors.Is(err, ErrFenced)
-}
-
-// Ping round-trips a no-op through the retry loop.
-func (rc *ResilientClient) Ping() error {
-	return rc.do(func(cl *Client, _ bool) error { return cl.Ping() })
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -20,11 +21,8 @@ func TestResilientGiveUpTyped(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close()
 
-	rc := NewResilient(addr, ResilientOptions{
-		OpTimeout: 100 * time.Millisecond,
-		Retry:     RetryPolicy{Initial: time.Millisecond, Cap: 2 * time.Millisecond, MaxAttempts: 3},
-		Seed:      1,
-	})
+	rc := Redial(addr, RetryPolicy{Initial: time.Millisecond, Cap: 2 * time.Millisecond, MaxAttempts: 3, Seed: 1})
+	rc.SetOpTimeout(100 * time.Millisecond)
 	defer rc.Close()
 	start := time.Now()
 	err = rc.Ping()
@@ -52,13 +50,9 @@ func TestResilientGiveUpTyped(t *testing.T) {
 // without burning the retry budget.
 func TestResilientFatalNotRetried(t *testing.T) {
 	_, addr := startServerOpts(t, nil, ServerOptions{})
-	rc := NewResilient(addr, ResilientOptions{
-		OpTimeout: time.Second,
-		Retry:     RetryPolicy{Initial: time.Millisecond, Cap: 2 * time.Millisecond, MaxAttempts: 8},
-		Seed:      1,
-	})
+	rc := Redial(addr, RetryPolicy{Initial: time.Millisecond, Cap: 2 * time.Millisecond, MaxAttempts: 8, Seed: 1})
 	defer rc.Close()
-	err := rc.Release(Lease{Resource: "r", Token: 999})
+	err := rc.Release("r", 999)
 	if !errors.Is(err, ErrNotHeld) {
 		t.Fatalf("bogus release: %v, want ErrNotHeld", err)
 	}
@@ -123,11 +117,7 @@ func (r *cuttableRelay) cut() {
 func TestResilientReconnectResume(t *testing.T) {
 	_, addr := startServerOpts(t, nil, ServerOptions{})
 	relay := newCuttableRelay(t, addr)
-	rc := NewResilient(relay.addr(), ResilientOptions{
-		OpTimeout: time.Second,
-		Retry:     RetryPolicy{Initial: time.Millisecond, Cap: 8 * time.Millisecond, MaxAttempts: 8},
-		Seed:      1,
-	})
+	rc := Redial(relay.addr(), RetryPolicy{Initial: time.Millisecond, Cap: 8 * time.Millisecond, MaxAttempts: 8, Seed: 1})
 	defer rc.Close()
 	l, err := rc.Acquire("r", "o", AcquireOptions{TTL: 30 * time.Second})
 	if err != nil {
@@ -147,7 +137,112 @@ func TestResilientReconnectResume(t *testing.T) {
 	if len(held) != 1 || held[0].Token != l.Token || held[0].Fence != l.Fence {
 		t.Fatalf("held after resume = %+v, want the original lease %+v", held, l)
 	}
-	if err := rc.Release(l); err != nil {
+	if err := rc.ReleaseFenced(l.Resource, l.Token, l.Fence); err != nil {
 		t.Fatalf("release after reconnect: %v", err)
+	}
+}
+
+// TestResilientRetryAfterCapped: the server's retry-after hint is a
+// backoff band no wider than the policy's Cap, so a peer that answers
+// every request with an hour-long hint cannot park the client past its
+// budget: it gives up typed, within the retry budget.
+func TestResilientRetryAfterCapped(t *testing.T) {
+	addr, accept := rawPeer(t)
+	rc := Redial(addr, RetryPolicy{Initial: time.Millisecond, Cap: 4 * time.Millisecond, MaxAttempts: 3, Seed: 1})
+	defer rc.Close()
+	done := make(chan error, 1)
+	go func() { done <- rc.Ping() }()
+	conn := accept()
+	go func() {
+		dec := NewDecoder()
+		for {
+			if _, err := dec.ReadRequest(conn); err != nil {
+				return
+			}
+			frame, err := AppendResponse(nil, Response{Op: OpError, Code: CodeShed, Msg: ErrShed.Error(), RetryAfter: time.Hour})
+			if err != nil {
+				return
+			}
+			if _, err := conn.Write(frame); err != nil {
+				return
+			}
+		}
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !Retryable(err) {
+			t.Fatalf("ping against a shedding peer: %v, want a retryable give-up", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("client parked on an hour-long retry-after hint")
+	}
+	if st := rc.Stats(); st.GaveUp != 1 {
+		t.Fatalf("stats = %+v, want GaveUp 1", st)
+	}
+}
+
+// TestResilientRedialKeepsWindow: the window belongs to the client, so
+// the connection a Redial client dials after a cut is pipelined too —
+// four waiting acquires are queued at the server at once. A closed
+// Redial client then fails typed and dials nothing.
+func TestResilientRedialKeepsWindow(t *testing.T) {
+	srv, addr := startServerOpts(t, nil, ServerOptions{})
+	relay := newCuttableRelay(t, addr)
+	rc := Redial(relay.addr(), RetryPolicy{Initial: time.Millisecond, Cap: 8 * time.Millisecond, MaxAttempts: 8, Seed: 1})
+	defer rc.Close()
+	rc.SetOpTimeout(5 * time.Second)
+	if err := rc.Pipeline(4, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rc.Acquire("mine", "o", AcquireOptions{TTL: 30 * time.Second}); err != nil {
+		t.Fatal(err)
+	}
+	first := rc.cur.Load()
+	relay.cut()
+	if err := rc.Ping(); err != nil {
+		t.Fatalf("ping across the cut: %v", err)
+	}
+	if w := rc.cur.Load(); w == first || w.pl.Load() == nil {
+		t.Fatal("the redialed connection is not pipelined")
+	}
+
+	holder, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer holder.Close()
+	hot, err := holder.Acquire("hot", "holder", AcquireOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, 4)
+	for i := 0; i < 4; i++ {
+		go func(i int) {
+			l, err := rc.Acquire("hot", fmt.Sprintf("w%d", i), AcquireOptions{Wait: true, MaxWait: 5 * time.Second})
+			if err == nil {
+				err = rc.ReleaseFenced(l.Resource, l.Token, l.Fence)
+			}
+			errs <- err
+		}(i)
+	}
+	waitAllQueued(t, srv.svc, 4)
+	if err := holder.Release("hot", hot.Token); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	dials := rc.Stats().Dials
+	if err := rc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := rc.Ping(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("ping after close: %v, want ErrClosed", err)
+	}
+	if st := rc.Stats(); st.Dials != dials {
+		t.Fatalf("closed client dialed: %d dials, had %d", st.Dials, dials)
 	}
 }

@@ -349,17 +349,17 @@ func TestServerFenceOverWire(t *testing.T) {
 	if err := c.ReleaseFenced("r", l.Token, l.Fence+1); !errors.Is(err, ErrFenced) {
 		t.Fatalf("wrong-fence release: %v, want ErrFenced", err)
 	}
-	got, err := c.Resume("r", l.Token, l.Fence)
+	got, err := c.cur.Load().resume("r", l.Token, l.Fence, 0)
 	if err != nil || got.Token != l.Token || got.Fence != l.Fence {
 		t.Fatalf("resume: %+v, %v", got, err)
 	}
-	if _, err := c.Resume("r", l.Token, l.Fence+1); !errors.Is(err, ErrFenced) {
+	if _, err := c.cur.Load().resume("r", l.Token, l.Fence+1, 0); !errors.Is(err, ErrFenced) {
 		t.Fatalf("wrong-fence resume: %v, want ErrFenced", err)
 	}
 	if err := c.ReleaseFenced("r", l.Token, l.Fence); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Resume("r", l.Token, l.Fence); !errors.Is(err, ErrNotHeld) {
+	if _, err := c.cur.Load().resume("r", l.Token, l.Fence, 0); !errors.Is(err, ErrNotHeld) {
 		t.Fatalf("resume after release: %v, want ErrNotHeld", err)
 	}
 }
@@ -424,7 +424,7 @@ func TestServerDrainGraceful(t *testing.T) {
 		t.Fatalf("retry-after hint = %v, %v; want 5ms, true", hint, ok)
 	}
 	// New connections are refused (the listener is down).
-	if c, err := DialTimeout(addr, time.Second); err == nil {
+	if c, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
 		c.Close()
 		t.Fatal("dial succeeded against a draining server")
 	}
